@@ -91,9 +91,9 @@ PERF_CASES: tuple[PerfCase, ...] = (
 
 #: Long-horizon warp acceptance cases: a 10x measurement window at an
 #: NDR-trial-style sub-capacity offered load (the workload class where a
-#: rate search or latency sweep burns most of its wall clock).  Each
-#: scenario appears twice -- warp pinned off (the event-by-event cost)
-#: and warp pinned on -- so the report's ``warp_speedup`` section is a
+#: rate search or latency sweep burns most of its wall clock).  Each p2p
+#: scenario appears twice -- warp pinned off (parked dispatch) and warp
+#: pinned on (replay) -- so the report's ``warp_speedup`` section is a
 #: same-process A/B, not a cross-machine comparison.
 LONG_HORIZON_RATE_PPS = 3_000_000.0
 LONG_HORIZON_SCALE = 10.0
@@ -114,62 +114,41 @@ WARP_CASES: tuple[PerfCase, ...] = (
         "longh.p2p.vpp.warp", "scenario", "p2p", "vpp",
         rate_pps=LONG_HORIZON_RATE_PPS, measure_scale=LONG_HORIZON_SCALE, warp=True,
     ),
-    # Multi-hop shapes the chain turbo covers: bidirectional p2p, the
-    # vring hops (p2v/v2v) and a loopback VNF chain, each at an NDR-style
-    # sub-capacity load over the 10x window.
+    # Multi-hop shapes replay never takes: bidirectional p2p, the vring
+    # hops (p2v/v2v) and a loopback VNF chain, each at an NDR-style
+    # sub-capacity load over the 10x window.  Their idle polls park in
+    # ordinary dispatch whatever the warp pin, so each is timed once.
     PerfCase(
         "longh.p2p-bidi.vpp.nowarp", "scenario", "p2p", "vpp", bidirectional=True,
         rate_pps=2_000_000.0, measure_scale=LONG_HORIZON_SCALE, warp=False,
-    ),
-    PerfCase(
-        "longh.p2p-bidi.vpp.warp", "scenario", "p2p", "vpp", bidirectional=True,
-        rate_pps=2_000_000.0, measure_scale=LONG_HORIZON_SCALE, warp=True,
     ),
     PerfCase(
         "longh.p2v.ovs-dpdk.nowarp", "scenario", "p2v", "ovs-dpdk",
         rate_pps=1_000_000.0, measure_scale=LONG_HORIZON_SCALE, warp=False,
     ),
     PerfCase(
-        "longh.p2v.ovs-dpdk.warp", "scenario", "p2v", "ovs-dpdk",
-        rate_pps=1_000_000.0, measure_scale=LONG_HORIZON_SCALE, warp=True,
-    ),
-    PerfCase(
         "longh.v2v.vpp.nowarp", "scenario", "v2v", "vpp",
         rate_pps=800_000.0, measure_scale=LONG_HORIZON_SCALE, warp=False,
-    ),
-    PerfCase(
-        "longh.v2v.vpp.warp", "scenario", "v2v", "vpp",
-        rate_pps=800_000.0, measure_scale=LONG_HORIZON_SCALE, warp=True,
     ),
     PerfCase(
         "longh.loopback2.vpp.nowarp", "scenario", "loopback", "vpp",
         rate_pps=500_000.0, measure_scale=LONG_HORIZON_SCALE, warp=False,
         extra=(("n_vnfs", 2),),
     ),
-    PerfCase(
-        "longh.loopback2.vpp.warp", "scenario", "loopback", "vpp",
-        rate_pps=500_000.0, measure_scale=LONG_HORIZON_SCALE, warp=True,
-        extra=(("n_vnfs", 2),),
-    ),
 )
 
-#: Between-fault warp acceptance: a resilience run (two NIC link flaps
-#: over a 30x window) driven event-by-event and with the chain turbo
-#: warping the idle stretches between fault instants.  The recovery
-#: timeline is verified bit-identical elsewhere (property tests); this
-#: bench only times the A/B.  The offered rate sits well under capacity
-#: so the inter-fault spans are idle-poll-dominated -- the regime the
-#: turbo exists for (fault soak tests trickle traffic while waiting).
+#: Resilience long horizon: two NIC link flaps over a 30x window.  The
+#: offered rate sits well under capacity so the inter-fault spans are
+#: idle-poll-dominated -- the regime core parking exists for (fault soak
+#: tests trickle traffic while waiting).  Replay declines fault plans,
+#: so the case is timed once; the recovery timeline is verified against
+#: the busy-poll reference elsewhere (property tests).
 RESILIENCE_SCALE = 30.0
 RESILIENCE_RATE_PPS = 1_000_000.0
 RESILIENCE_CASES: tuple[PerfCase, ...] = (
     PerfCase(
         "longh.resil.p2p.vpp.nowarp", "resilience", "p2p", "vpp",
         rate_pps=RESILIENCE_RATE_PPS, measure_scale=RESILIENCE_SCALE, warp=False,
-    ),
-    PerfCase(
-        "longh.resil.p2p.vpp.warp", "resilience", "p2p", "vpp",
-        rate_pps=RESILIENCE_RATE_PPS, measure_scale=RESILIENCE_SCALE, warp=True,
     ),
 )
 

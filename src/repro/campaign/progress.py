@@ -19,10 +19,13 @@ from repro.campaign.spec import RunFailure, RunRecord
 def run_tier(outcome: RunRecord | RunFailure) -> str:
     """Cost tier of one run, from its record's ``warp`` column.
 
-    Warped (replay/turbo) and fluid runs complete orders of magnitude
-    faster than event-by-event runs, so averaging their wall-clocks into
-    one pace would wreck the ETA whenever the mix shifts; the reporter
-    tracks each tier's cost separately and blends them explicitly.
+    Replayed and fluid runs complete orders of magnitude faster than
+    dispatched runs, so averaging their wall-clocks into one pace would
+    wreck the ETA whenever the mix shifts; the reporter tracks each
+    tier's cost separately and blends them explicitly.  Any engaged label
+    counts as warped (``turbo`` too, on rows cached before that tier was
+    retired); idle-poll parking is ordinary dispatch, so declined runs
+    are ``exact``.
     """
     label = getattr(outcome, "warp", None) or ""
     if label == "fluid":

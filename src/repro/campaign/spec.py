@@ -176,7 +176,7 @@ class RunRecord:
     #: stay valid.
     trials: dict | None = None
     #: Which fast-forward tier handled the run: an engaged mode
-    #: (``"replay"``, ``"turbo"``, ``"fluid"``) or ``"declined:<reason>"``.
+    #: (``"replay"``, ``"fluid"``) or ``"declined:<reason>"``.
     #: None when the engine reported nothing (warp disabled, latency
     #: kinds) and omitted from :meth:`to_dict` so older stored records
     #: stay valid.

@@ -436,6 +436,11 @@ def _emit_single_run_obs(
                 print(f"warp: {result.warp.describe()}")
             else:
                 print("warp: disabled (REPRO_WARP=0 or --no-warp)")
+            replayed = result.warp.events_replayed if result.warp is not None else 0
+            print(
+                f"events: {result.events} ({replayed} replayed, "
+                f"{result.events_parked} parked)"
+            )
     if getattr(observation, "flowstats", None) is not None:
         from repro.obs.flowstats import flow_table
 

@@ -18,6 +18,10 @@ Design notes
 * ``run`` and ``run_until`` share one dispatch loop (:meth:`_drain`); the
   observer hook keeps its own branch of that loop so an idle hook adds
   zero per-event work to unobserved runs.
+* A *parked* poll-mode core (:meth:`repro.cpu.cores.Core._park`) keeps
+  no event in the heap while its polls are provably no-ops; it registers
+  in ``_parked`` and :meth:`run_until` settles the polls it skipped, so
+  clock, seq and event counters read exactly as if it had busy-polled.
 """
 
 from __future__ import annotations
@@ -49,6 +53,11 @@ class Simulator:
         self._seq = 0
         self._running = False
         self.events_executed = 0
+        #: Idle polls accounted in ``events_executed`` without being
+        #: dispatched (parked cores); dispatched = executed - replayed - parked.
+        self.events_parked = 0
+        #: Parked cores (see :meth:`repro.cpu.cores.Core._park`).
+        self._parked: list = []
         self._observer: "SimObserverProtocol | None" = None
         # One run == one Simulator: frame seqs restart so identical runs
         # hand out identical seqs regardless of process history.
@@ -60,9 +69,13 @@ class Simulator:
         The observer's ``on_event(time_ns, callback)`` is invoked after
         every executed event.  When no observer is set the dispatch loop
         below takes its un-instrumented branch, so an idle hook costs
-        nothing per event.
+        nothing per event.  Parked cores rejoin their poll grid, and no
+        core parks while an observer is attached, so it sees every poll.
         """
         self._observer = observer
+        if observer is not None:
+            for core in list(self._parked):
+                core._unpark()
 
     @property
     def observer(self) -> "SimObserverProtocol | None":
@@ -124,9 +137,12 @@ class Simulator:
         """Execute events in order until the clock reaches ``t_end_ns``.
 
         The first event strictly after ``t_end_ns`` is left in the queue and
-        the clock is advanced exactly to ``t_end_ns``.
+        the clock is advanced exactly to ``t_end_ns``.  Parked cores are
+        credited with the idle polls they skipped up to ``t_end_ns``.
         """
         self._drain(t_end_ns)
+        for core in self._parked:
+            core._settle(t_end_ns)
         self._now = max(self._now, t_end_ns)
 
     def run(self) -> None:
@@ -134,8 +150,17 @@ class Simulator:
         self._drain(math.inf)
 
     def pending(self) -> int:
-        """Number of events currently queued."""
-        return len(self._queue)
+        """Number of events currently queued (a parked core's next grid
+        poll counts, as it would sit in the heap of a busy-polling core)."""
+        return len(self._queue) + sum(
+            1 for core in self._parked if core._park_entry is None
+        )
+
+    def discard_pending(self) -> None:
+        """Drop every queued event and parked core (fluid extrapolation):
+        nothing dispatches or settles after this."""
+        self._queue.clear()
+        self._parked.clear()
 
     def replace_pending(
         self,

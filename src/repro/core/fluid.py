@@ -1,10 +1,10 @@
 """Fluid tier: rate-based counter extrapolation for long steady horizons.
 
-The exact tiers (:mod:`repro.core.warp`, :mod:`repro.core.turbo`) are
-bit-identical and always safe, but their cost still grows with the
-number of *busy* events -- a saturating NDR probe over an hour-scale
-horizon executes billions of switch breaths no matter how cleverly the
-idle gaps are skipped.  The fluid tier trades bit-identity for a bounded
+The exact tiers (:mod:`repro.core.warp` replay, idle-poll parking in
+:class:`repro.cpu.cores.Core`) are bit-identical and always safe, but
+their cost still grows with the number of *busy* events -- a saturating
+NDR probe over an hour-scale horizon executes billions of switch breaths
+no matter how cleverly the idle gaps are skipped.  The fluid tier trades bit-identity for a bounded
 relative error: it runs the testbed exactly through warm-up plus a short
 **calibration slice** of the measurement window, checks that the slice
 is rate-stable (two halves agree within tolerance), then evolves every
@@ -179,7 +179,7 @@ def try_fluid(
         meter.set_counts(
             packets1 + add_packets, bytes1 + add_bytes, meter.warmup_packets
         )
-    sim._queue.clear()
+    sim.discard_pending()
     return FluidReport(
         engaged=True,
         fluid_ns=remaining,

@@ -64,7 +64,8 @@ if TYPE_CHECKING:
 
 #: Fast-forward algorithm revision; part of the campaign cache
 #: fingerprint so cached rows from different engine modes never mix.
-WARP_VERSION = 1
+#: Version 2 retired the chain-turbo tier (its ``turbo`` labels).
+WARP_VERSION = 2
 
 #: Smallest shadow-verification slice.  Must cover several jitter
 #: resample periods so the RNG-clone replay is actually exercised.
@@ -86,8 +87,8 @@ def warp_enabled(default: bool = True) -> bool:
 def engine_features() -> dict[str, Any]:
     """Engine feature flags that must invalidate cached campaign rows.
 
-    The exact tiers (replay warp, chain turbo) are bit-identical to
-    event-by-event execution, so they share one fingerprint.  Fluid mode
+    The replay warp and core parking are bit-identical to event-by-event
+    execution, so they share one fingerprint.  Fluid mode
     approximates, so its participation -- and its tolerance -- become
     extra fingerprint keys, but only when enabled: rows cached before
     fluid mode existed stay valid for exact runs.
@@ -107,8 +108,9 @@ class WarpReport:
     """What the fast-forward engine did (or why it declined) for one run.
 
     ``mode`` names the tier that produced the report: ``"replay"`` for
-    the p2p steady-state mirror, ``"turbo"`` for the multi-hop chain
-    turbo, ``"fluid"`` for the rate-based approximation tier.
+    the p2p steady-state mirror, ``"fluid"`` for the rate-based
+    approximation tier.  (Idle-poll parking is not a tier: it runs in
+    ordinary dispatch and is counted by ``Simulator.events_parked``.)
     """
 
     engaged: bool
@@ -307,7 +309,7 @@ def _eligibility(tb: "Testbed", watchdog_active: bool) -> _Ctx:
     ring = sut0.rx_ring
     if type(ring) is not Ring or type(sut1.rx_ring) is not Ring:
         raise _Decline("ring-faulted")
-    if ring.on_push is not None:
+    if ring.on_push is not None and not tb.sut_core._parked:
         raise _Decline("ring-faulted")
 
     core = tb.sut_core
@@ -315,7 +317,7 @@ def _eligibility(tb: "Testbed", watchdog_active: bool) -> _Ctx:
         raise _Decline("unrecognized-testbed")
     if core.obs is not None:
         raise _Decline("per-packet-tracing")
-    if core._sleeping or core._park_rings is not None or not core._started:
+    if core._sleeping or not core._started:
         raise _Decline("core-state")
 
     ctx = _Ctx()
@@ -1117,6 +1119,24 @@ def try_warp(
 
     sim = tb.sim
     sim.run_until(t_open)
+    # The replay mirrors a busy-polling SUT core and its verification
+    # compares heap entries, so the window is busy-polled: a parked core
+    # becomes its pending grid poll again and parks no more until done.
+    core = ctx.core
+    if core._parked:
+        core._unpark()
+    park_rings, core._park_rings = core._park_rings, None
+    try:
+        return _warp_window(ctx, t_open, t_verify, t_close, verify_ns)
+    finally:
+        core._park_rings = park_rings
+
+
+def _warp_window(
+    ctx: _Ctx, t_open: float, t_verify: float, t_close: float, verify_ns: float
+) -> WarpReport:
+    """Verify then replay ``[t_open, t_close]`` (see :func:`try_warp`)."""
+    sim = ctx.sim
     try:
         st0 = _snapshot(ctx)
         _prescan(ctx, st0, t_verify)

@@ -15,7 +15,8 @@ hinges on:
 
 from __future__ import annotations
 
-from heapq import heappush
+from heapq import heapify, heappush
+from math import inf
 from typing import TYPE_CHECKING, Protocol
 
 from repro.core.units import cycles_to_ns
@@ -29,7 +30,12 @@ DEFAULT_FREQ_HZ = 2.6e9
 
 
 class Task(Protocol):
-    """Anything schedulable on a core: returns cycles consumed per poll."""
+    """Anything schedulable on a core: returns cycles consumed per poll.
+
+    A task may also declare when its idle core can park (see
+    :meth:`Core.start`): ``park_rings``, the rings it drains, and
+    optionally ``park_deadline()``.
+    """
 
     def poll(self, core: "Core") -> float:
         """Run one poll-loop iteration; return CPU cycles consumed (0 = idle)."""
@@ -82,10 +88,15 @@ class Core:
         # idle re-arm delay is recomputed only when the cycle count
         # changes, not once per idle iteration.
         self._idle_cache: tuple[float, float] = (-1.0, 0.0)
-        # Idle-grid parking (pure-reactive tasks only, see start()).
+        # Idle-grid parking (see start() and _park()).
         self._park_rings = None
+        self._park_deadlines: list = []
         self._parked = False
         self._parked_at = 0.0
+        self._park_delay = 0.0
+        self._park_seq = 0
+        # Heap entry of the poll armed at a task's park deadline, if any.
+        self._park_entry = None
         #: Optional trace probe (:class:`repro.obs.session.CoreProbe`);
         #: None unless an observation session is attached.
         self.obs = None
@@ -99,24 +110,29 @@ class Core:
         if self._started:
             return
         self._started = True
-        # A core may *park* while idle -- stop re-arming the idle grid and
-        # resume at the exact grid point after a frame arrives -- only when
-        # every pinned task is pure-reactive: it declares the rings it
-        # watches via a ``park_rings`` attribute, does nothing but drain
-        # them, and keeps no time-based obligations (drain timers, stalls).
-        # The resulting schedule of *executed* polls is identical to
-        # busy-polling the grid; only the no-op iterations disappear.
+        # A core may *park* while idle -- stop re-arming the idle grid
+        # until a frame lands in a watched ring or a task's deadline comes
+        # up -- only when every pinned task declares the rings it drains
+        # (``park_rings``; None means "never park me").  Tasks with time
+        # obligations also declare ``park_deadline()``: the instant before
+        # which their polls are no-ops.  The schedule of *executed* polls
+        # is identical to busy-polling the grid; only no-ops disappear.
         rings: list | None = []
+        deadlines = []
         for task in self.tasks:
             task_rings = getattr(task, "park_rings", None)
             if task_rings is None:
                 rings = None
                 break
             rings.extend(task_rings)
+            deadline = getattr(task, "park_deadline", None)
+            if deadline is not None:
+                deadlines.append(deadline)
         if rings and not self.interrupt_driven and all(
             ring.on_push is None for ring in rings
         ):
             self._park_rings = rings
+            self._park_deadlines = deadlines
         self.sim.after(0, self._iterate)
 
     def cycles_to_ns(self, cycles: float) -> float:
@@ -163,43 +179,118 @@ class Core:
                 idle_cycles = self.idle_loop_cycles
                 delay = self.cycles_to_ns(idle_cycles)
                 self._idle_cache = (idle_cycles, delay)
-            rings = self._park_rings
-            if rings is not None:
-                for ring in rings:
-                    if ring._frames:
-                        break  # residual frames: keep polling the grid
-                else:
-                    self._parked = True
-                    self._parked_at = self.sim.now
-                    for ring in rings:
-                        ring.on_push = self._unpark
-                    return
+            if self._park_rings is not None and self._park(delay):
+                return
         # Inlined sim.after(): the re-arm is the single hottest schedule
         # in the simulation and the delay is never negative.
         sim = self.sim
         heappush(sim._queue, (sim._now + delay, sim._seq, self._iterate))
         sim._seq += 1
 
-    def _unpark(self) -> None:
-        """A frame landed in a watched ring: rejoin the idle poll grid.
+    # -- parking -----------------------------------------------------------
+    #
+    # A parked core behaves exactly like one busy-polling its idle grid:
+    # the polls it skips are accounted (events, seq, idle streak) when it
+    # resumes or when ``Simulator.run_until`` stops the clock, and it
+    # resumes at the grid point the busy core would have reached, rebuilt
+    # by the same repeated float addition the per-iteration re-arm does.
 
-        Runs inside ``Ring.push`` at the arrival timestamp.  The next poll
-        fires at the first grid point the busy-polling core would have
-        reached after this instant; the grid is reconstructed by the same
-        repeated float addition the per-iteration re-arm performs, so poll
-        times are bit-identical to never having parked.
-        """
+    def _park(self, delay: float) -> bool:
+        """After an idle poll: stop re-arming if the next polls are no-ops."""
+        sim = self.sim
+        if sim._observer is not None:
+            return False  # an observer sees every dispatch
+        rings = self._park_rings
+        for ring in rings:
+            if ring._frames:
+                return False  # residual frames: keep polling the grid
+        now = sim._now
+        deadline = inf
+        for park_deadline in self._park_deadlines:
+            value = park_deadline()
+            if value < deadline:
+                deadline = value
+        t = now + delay
+        if t >= deadline:
+            return False  # the very next poll may do work
+        self._parked = True
+        self._parked_at = now
+        self._park_delay = delay
+        for ring in rings:
+            ring.on_push = self._unpark
+        sim._parked.append(self)
+        # The parking poll's re-arm: its seq goes to whichever grid poll
+        # ends the park (a push, a deadline, a fault, the window edge).
+        self._park_seq = sim._seq
+        sim._seq += 1
+        if deadline != inf:
+            while t < deadline:
+                t += delay
+            self._park_entry = (t, self._park_seq, self._deadline_poll)
+            heappush(sim._queue, self._park_entry)
+        return True
+
+    def _skip_polls(self, count: int) -> None:
+        """Account ``count`` skipped idle polls as if each had run."""
+        sim = self.sim
+        sim.events_executed += count
+        sim.events_parked += count
+        sim._seq += count
+        self._idle_streak += count
+
+    def _settle(self, t_end: float) -> None:
+        """The clock stops at ``t_end``: credit the grid polls up to it."""
+        delay = self._park_delay
+        t = self._parked_at
+        count = 0
+        while t + delay <= t_end:
+            t += delay
+            count += 1
+        if count:
+            self._parked_at = t
+            self._skip_polls(count)
+
+    def _leave_park(self) -> float:
+        """Rejoin the grid now; return the next grid poll's time."""
         self._parked = False
         for ring in self._park_rings:
             ring.on_push = None
         sim = self.sim
-        now = sim.now
-        delay = self._idle_cache[1]
-        # The parking poll already ran at _parked_at; resume strictly after.
+        sim._parked.remove(self)
+        now = sim._now
+        delay = self._park_delay
+        # The last accounted poll ran at _parked_at; resume strictly after.
         t = self._parked_at + delay
+        count = 0
         while t < now:
             t += delay
-        sim.at(t, self._iterate)
+            count += 1
+        self._skip_polls(count)
+        return t
+
+    def _unpark(self) -> None:
+        """A frame landed in a watched ring (or a fault/observer needs the
+        core live): arm the next grid poll, as a busy core would have it."""
+        t = self._leave_park()
+        entry = (t, self._park_seq, self._iterate)
+        queue = self.sim._queue
+        armed = self._park_entry
+        if armed is None:
+            heappush(queue, entry)
+            return
+        # Move the poll armed at the deadline forward to this grid point.
+        self._park_entry = None
+        for index, pending in enumerate(queue):
+            if pending is armed:
+                queue[index] = entry
+                heapify(queue)
+                return
+
+    def _deadline_poll(self) -> None:
+        """The poll armed at a task's park deadline."""
+        self._park_entry = None
+        self._leave_park()
+        self._iterate()
 
     # -- fault hooks (repro.faults) ----------------------------------------
     #
@@ -212,10 +303,13 @@ class Core:
 
         Any already-scheduled ``_iterate`` event fires once, sees the
         sleeping flag and returns without re-arming -- the poll chain is
-        broken until :meth:`resume_from_preemption`.
+        broken until :meth:`resume_from_preemption`.  A parked core first
+        rejoins its grid, so that pending poll exists as it would busy.
         """
         if not self._started or self._sleeping:
             return
+        if self._parked:
+            self._unpark()
         self._sleeping = True
 
     def resume_from_preemption(self) -> None:
@@ -234,10 +328,14 @@ class Core:
         """Change the core clock (thermal throttling episodes).
 
         Invalidates the idle-delay memo, which caches a *time* computed at
-        the old frequency under a cycle-count key.
+        the old frequency under a cycle-count key.  The poll already armed
+        on the old grid keeps its time and later grid points use the new
+        delay -- so a parked core rejoins its old grid first.
         """
         if freq_hz <= 0:
             raise ValueError(f"core frequency must be positive, got {freq_hz}")
+        if self._parked:
+            self._unpark()
         self.freq_hz = freq_hz
         self._idle_cache = (-1.0, 0.0)
 

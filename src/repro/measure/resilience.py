@@ -289,11 +289,12 @@ def measure_resilience(
     ``observation`` is None unless ``observe_config`` asks for an obs
     session (fault spans are then exported onto its tracer).
 
-    ``warp`` pins the exact fast-forward tiers (``None`` follows
-    ``REPRO_WARP``).  The chain turbo warps the idle stretches *between*
-    fault events bit-identically -- injector callbacks force a
-    re-verification, so fault transients and the recovery timeline stay
-    event-exact.
+    ``warp`` pins the replay fast-forward (``None`` follows
+    ``REPRO_WARP``); replay declines armed fault plans, so the run is
+    dispatched.  Idle cores park through the stretches *between* fault
+    events, and a fault that touches a parked core (preempt, throttle)
+    first puts it back on its poll grid, so fault transients and the
+    recovery timeline equal busy polling bit for bit.
     """
     if not plan:
         raise ValueError("measure_resilience needs a non-empty FaultPlan")

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from repro.core.fluid import FluidReport, fluid_enabled, try_fluid
 from repro.core.stats import LatencySample
-from repro.core.turbo import turbo_drive
 from repro.core.warp import WarpReport, try_warp, warp_enabled
 from repro.scenarios.base import Testbed
 
@@ -52,7 +51,11 @@ class RunResult:
     per_direction_gbps: list[float] = field(default_factory=list)
     per_direction_mpps: list[float] = field(default_factory=list)
     latency: LatencySample | None = None
+    #: Events accounted by the engine (dispatched, replayed or parked).
     events: int = 0
+    #: Idle polls among ``events`` that parked cores skipped, so
+    #: dispatched = events - warp.events_replayed - events_parked.
+    events_parked: int = 0
     #: What the steady-state fast-forward did (None when warp disabled).
     warp: WarpReport | None = None
     #: What the fluid tier did (None when fluid mode is off).
@@ -78,11 +81,12 @@ def drive(
 ) -> RunResult:
     """Run a wired testbed through warm-up + measurement; collect results.
 
-    ``warp`` controls the exact fast-forward tiers (:mod:`repro.core.warp`
-    steady-state replay, then the :mod:`repro.core.turbo` chain turbo):
-    ``None`` follows the ``REPRO_WARP`` environment switch (default on).
-    Results are bit-identical either way -- both tiers decline
-    automatically whenever the run is not provably safe.
+    ``warp`` controls the exact fast-forward (:mod:`repro.core.warp`
+    steady-state replay): ``None`` follows the ``REPRO_WARP`` environment
+    switch (default on).  Results are bit-identical either way -- replay
+    declines automatically whenever the run is not provably safe, and the
+    run is then dispatched, with idle poll-mode cores parking (see
+    :class:`repro.cpu.cores.Core`) unless an engine observer is attached.
 
     ``fluid`` opts into the approximate tier (:mod:`repro.core.fluid`):
     ``None`` follows ``REPRO_FLUID`` (default off).  When fluid engages
@@ -110,14 +114,10 @@ def drive(
             warped_ns=fluid_report.fluid_ns,
             verify_ns=fluid_report.calibration_ns,
         )
-    elif warp if warp is not None else warp_enabled():
-        if fluid_report is None or not fluid_report.advanced:
-            warp_report = try_warp(tb, t_open, t_close, watchdog is not None)
-        if warp_report is None or not warp_report.engaged:
-            # The replay warp handles clean unidirectional p2p; everything
-            # else falls through to the chain turbo, which dispatches the
-            # run itself (bit-identically) while bulk-advancing idle spans.
-            warp_report = turbo_drive(tb, t_close, watchdog is not None)
+    elif (warp if warp is not None else warp_enabled()) and (
+        fluid_report is None or not fluid_report.advanced
+    ):
+        warp_report = try_warp(tb, t_open, t_close, watchdog is not None)
     tb.sim.run_until(t_close)
     if watchdog is not None:
         watchdog.finalize()
@@ -153,6 +153,7 @@ def drive(
         per_direction_mpps=per_mpps,
         latency=latency,
         events=tb.sim.events_executed,
+        events_parked=tb.sim.events_parked,
         warp=warp_report,
         fluid=fluid_report,
     )

@@ -23,6 +23,7 @@ Mechanisms expressed here, switch models toggle them via params:
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING
 
 from repro.core.packet import Packet, batch_stats
@@ -252,6 +253,28 @@ class SoftwareSwitch:
     def poll(self, core: Core) -> float:
         return self._poll_paths(core, self.paths)
 
+    # Parking declarations (see Core.start): a run-to-completion,
+    # stall-free poll-mode switch only drains its input rings.
+
+    @property
+    def park_rings(self) -> list[Ring] | None:
+        return self._park_rings(self.paths)
+
+    def park_deadline(self) -> float:
+        return self._park_deadline(self.paths)
+
+    def _park_rings(self, paths: list[ForwardingPath]) -> list[Ring] | None:
+        params = self.params
+        if params.pipeline or params.interrupt_driven or self._stalls is not None:
+            return None  # staging links, interrupt lines, stall timers
+        return [path.input.input_ring for path in paths]
+
+    def _park_deadline(self, paths: list[ForwardingPath]) -> float:
+        for path in paths:
+            if path.wait_started_ns is not None or path.tx_buffer:
+                return -inf  # strict-batch wait or TX drain pending: busy
+        return inf
+
     def _poll_paths(self, core: Core, paths: list[ForwardingPath]) -> float:
         cycles = 0.0
         if self._stalls is not None:
@@ -480,3 +503,10 @@ class _Worker:
 
     def poll(self, core: Core) -> float:
         return self.switch._poll_paths(core, self.paths)
+
+    @property
+    def park_rings(self) -> list[Ring] | None:
+        return self.switch._park_rings(self.paths)
+
+    def park_deadline(self) -> float:
+        return self.switch._park_deadline(self.paths)

@@ -18,6 +18,7 @@ The in-guest measurement tools live in :mod:`repro.traffic.guest`.
 
 from __future__ import annotations
 
+from math import inf, nextafter
 from typing import TYPE_CHECKING
 
 from repro.core.packet import Packet, batch_stats
@@ -72,6 +73,21 @@ class GuestL2Fwd:
         self._tx_frames = 0
         self._last_flush_ns = 0.0
         self.forwarded = 0
+
+    # Parking declarations (see Core.start).
+    @property
+    def park_rings(self) -> tuple[Ring, ...]:
+        return (self.rx_vif.to_guest,)
+
+    def park_deadline(self) -> float:
+        """Buffered frames flush on the TX drain timer; polls before it
+        (with an empty rx ring) are no-ops."""
+        if not self._tx_buffer:
+            return inf
+        # poll() flushes once ``now - last >= drain``; two ulps below the
+        # sum, float rounding of that difference cannot fire yet.
+        due = self._last_flush_ns + self.drain_ns
+        return nextafter(nextafter(due, -inf), -inf)
 
     def poll(self, core: Core) -> float:
         rx_ring = self.rx_vif.to_guest
@@ -132,6 +148,10 @@ class GuestValeXConnect:
         self.proc = proc
         self.forwarded = 0
 
+    @property
+    def park_rings(self) -> tuple[Ring, ...]:
+        return (self.vif_a.to_guest, self.vif_b.to_guest)
+
     def poll(self, core: Core) -> float:
         cycles = 0.0
         for rx, tx in ((self.vif_a, self.vif_b), (self.vif_b, self.vif_a)):
@@ -177,6 +197,10 @@ class GuestValeBridge:
         self.gen_to_bridge = Ring(ring_slots, name="bridge.in")
         self.bridge_to_monitor = Ring(ring_slots, name="bridge.out")
         self.forwarded = 0
+
+    @property
+    def park_rings(self) -> tuple[Ring, ...]:
+        return (self.gen_to_bridge, self.vif.to_guest)
 
     def poll(self, core: Core) -> float:
         cycles = 0.0

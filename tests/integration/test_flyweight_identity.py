@@ -11,13 +11,25 @@ from __future__ import annotations
 
 import json
 
-from _helpers import FAST_MEASURE_NS, FAST_WARMUP_NS
+import pytest
+
+from _helpers import FAST_MEASURE_NS, FAST_WARMUP_NS, strip_park_declarations
 
 from repro.core.engine import Simulator
 from repro.core.packet import PacketBlock, per_packet_emission
+from repro.core.rng import RngRegistry
+from repro.core.warp import state_fingerprint
+from repro.cpu.numa import Machine
 from repro.measure.runner import drive
-from repro.scenarios import p2p, v2v
+from repro.nic.port import NicPort
+from repro.scenarios import loopback, p2p, p2v, v2v
+from repro.scenarios.base import Testbed, connect_ports
+from repro.switches.base import SoftwareSwitch, _Worker
+from repro.switches.registry import create_switch
 from repro.traffic.generator import PacedSource
+from repro.traffic.guest import GuestMonitor
+from repro.traffic.moongen import MoonGenRx, MoonGenTx
+from repro.vm.apps import GuestL2Fwd, GuestValeBridge, GuestValeXConnect
 
 
 def _canon(value):
@@ -27,8 +39,8 @@ def _canon(value):
 def _run_stats(tb, result) -> dict:
     """Every observable figure of a driven testbed, floats repr-exact.
 
-    ``events_executed`` is deliberately absent: it is an engine performance
-    counter (core parking removes no-op poll events), not a measurement.
+    ``events_executed`` is deliberately absent: it is an engine work
+    counter, not a measurement.
     """
     stats = {
         "gbps": [_canon(g) for g in result.per_direction_gbps],
@@ -186,3 +198,57 @@ class TestCoreParkingEquivalence:
         assert tb.vms  # the monitor runs in a guest in this scenario
         busy = _run_stats(tb, _drive_fast(tb))
         assert parked == busy
+
+    @staticmethod
+    def _p2p_two_cores():
+        """Bidirectional p2p with VPP's two paths on two worker cores."""
+        sim = Simulator()
+        machine = Machine(sim)
+        rngs = RngRegistry(1)
+        switch = create_switch("vpp", sim, rngs=rngs, bus=machine.node0.bus)
+        gen0, gen1 = NicPort(sim, "g0"), NicPort(sim, "g1")
+        sut0, sut1 = NicPort(sim, "s0"), NicPort(sim, "s1")
+        connect_ports(gen0, sut0)
+        connect_ports(gen1, sut1)
+        a0, a1 = switch.attach_phy(sut0), switch.attach_phy(sut1)
+        switch.add_path(a0, a1)
+        switch.add_path(a1, a0)
+        cores = [machine.node0.add_core(f"sut{i}") for i in range(2)]
+        switch.bind_cores(cores)
+        tb = Testbed(sim, machine, rngs, switch, cores[0], 64, scenario="p2p-mc")
+        for gen, mon in ((gen0, gen1), (gen1, gen0)):
+            MoonGenTx(sim, gen, 2e6, 64).start(0.0)
+            tb.meters.append(MoonGenRx(sim, mon, 64).meter)
+        return tb
+
+    @pytest.mark.parametrize("task_type,build", [
+        pytest.param(task_type, build, id=task_type.__name__.lstrip("_"))
+        for task_type, build in (
+            (SoftwareSwitch, lambda: p2p.build(
+                "vpp", frame_size=64, bidirectional=True, rate_pps=2e6)),
+            (_Worker, None),
+            # 100 Kpps: single-frame buffers, so the TX drain timer fires.
+            (GuestL2Fwd, lambda: loopback.build(
+                "vpp", frame_size=64, n_vnfs=2, rate_pps=1e5)),
+            (GuestValeXConnect, lambda: loopback.build(
+                "vale", frame_size=64, n_vnfs=2, rate_pps=5e5)),
+            (GuestValeBridge, lambda: p2v.build(
+                "vale", frame_size=64, bidirectional=True, rate_pps=5e5)),
+            (GuestMonitor, lambda: v2v.build("ovs-dpdk", frame_size=64, rate_pps=8e5)),
+        )
+    ])
+    def test_each_parkable_task_type_parks_exactly(self, monkeypatch, task_type, build):
+        """Stripping one task type's declaration changes nothing observable
+        (engine counters included) -- only how many polls are dispatched."""
+        build = build or self._p2p_two_cores
+
+        def run():
+            tb = build()
+            stats = _run_stats(tb, _drive_fast(tb))
+            return (stats, state_fingerprint(tb)), tb.sim.events_parked
+
+        parked, parked_polls = run()
+        strip_park_declarations(monkeypatch, [task_type])
+        busy, fewer_parked_polls = run()
+        assert parked == busy
+        assert fewer_parked_polls < parked_polls

@@ -3,31 +3,34 @@
 Three contracts, sampled with pinned hypothesis seeds so CI failures
 reproduce:
 
-1. **Turbo observable-invariance** -- on every turbo-eligible shape,
-   warp-on runs are bit-identical to warp-off runs: same end-state
-   fingerprint, same per-direction rates (repr-compared), same event
-   count, for sampled (switch, shape, rate, seed).
+1. **Parking observable-invariance** -- on every multi-hop shape, runs
+   whose idle cores park are bit-identical to the busy-poll reference
+   (park declarations stripped): same end-state fingerprint, same
+   per-direction rates (repr-compared), same event count, for sampled
+   (switch, shape, rate, seed).
 2. **Fluid tolerance** -- when the fluid tier engages, the extrapolated
    rate is within the declared tolerance of the exact rate, across a
    sampled (rate, seed, window) grid.
-3. **Between-fault exactness** -- a resilience run with the chain turbo
-   warping the inter-fault stretches reproduces the event-exact
+3. **Between-fault exactness** -- a resilience run whose cores park
+   through the inter-fault stretches reproduces the busy-poll
    degradation timeline and recovery metrics bit-for-bit, for sampled
    fault instants and durations.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from _helpers import strip_park_declarations
 from repro.core.fluid import fluid_tolerance
 from repro.core.warp import state_fingerprint
 from repro.measure.runner import drive
 from repro.scenarios import loopback, p2p, p2v, v2v
 
-#: Turbo-eligible shapes beyond clean uni p2p (which replay covers) and
-#: a sub-capacity rate band per shape (slowest-switch headroom).
+#: Shapes beyond clean uni p2p (which replay covers) and a sub-capacity
+#: rate band per shape (slowest-switch headroom).
 SHAPES = {
     "p2p-bidi": (p2p.build, {"bidirectional": True}, 0.5e6, 2.0e6),
     "p2v": (p2v.build, {}, 0.3e6, 1.0e6),
@@ -38,7 +41,7 @@ SHAPES = {
 EXACT_SWITCHES = ["bess", "fastclick", "ovs-dpdk", "vpp", "t4p4s"]
 
 
-class TestTurboInvariance:
+class TestParkingInvariance:
     @seed(20260807)
     @settings(max_examples=8, deadline=None)
     @given(
@@ -47,27 +50,26 @@ class TestTurboInvariance:
         rate_frac=st.floats(min_value=0.0, max_value=1.0),
         run_seed=st.integers(min_value=1, max_value=1_000_000),
     )
-    def test_warp_on_matches_warp_off(self, shape, switch, rate_frac, run_seed):
+    def test_parked_run_matches_busy_polling(self, shape, switch, rate_frac, run_seed):
         build, kwargs, lo, hi = SHAPES[shape]
         rate = lo + rate_frac * (hi - lo)
         bidir = kwargs.get("bidirectional", False)
 
-        def run(warp):
+        def run():
             tb = build(switch, frame_size=64, rate_pps=rate, seed=run_seed, **kwargs)
-            res = drive(
-                tb, warmup_ns=2e5, measure_ns=2.5e6,
-                bidirectional=bidir, warp=warp,
-            )
+            res = drive(tb, warmup_ns=2e5, measure_ns=2.5e6, bidirectional=bidir)
             return res, state_fingerprint(tb)
 
-        r_off, f_off = run(False)
-        r_on, f_on = run(True)
-        assert r_on.warp is not None and r_on.warp.engaged
-        assert f_off == f_on
-        assert [repr(v) for v in r_off.per_direction_gbps] == [
-            repr(v) for v in r_on.per_direction_gbps
+        r_parked, f_parked = run()
+        with pytest.MonkeyPatch.context() as patch:
+            strip_park_declarations(patch)
+            r_busy, f_busy = run()
+        assert r_parked.events_parked > 0
+        assert f_busy == f_parked
+        assert [repr(v) for v in r_busy.per_direction_gbps] == [
+            repr(v) for v in r_parked.per_direction_gbps
         ]
-        assert r_off.events == r_on.events
+        assert r_busy.events == r_parked.events
 
 
 class TestFluidTolerance:
@@ -112,7 +114,7 @@ class TestBetweenFaultExactness:
 
         warmup_ns, measure_ns = 6e5, 4e6
 
-        def run(warp):
+        def run():
             plan = FaultPlan.of(
                 FaultEvent.from_dict(
                     {"kind": "nic-link-flap", "target": "sut-nic.p1",
@@ -123,11 +125,14 @@ class TestBetweenFaultExactness:
             return measure_resilience(
                 p2p.build, "vpp", 64, plan,
                 warmup_ns=warmup_ns, measure_ns=measure_ns,
-                rate_pps=1e6, seed=run_seed, warp=warp,
+                rate_pps=1e6, seed=run_seed,
             )
 
-        res_off, rep_off, _ = run(False)
-        res_on, rep_on, _ = run(True)
-        assert rep_off.to_dict() == rep_on.to_dict()
-        assert repr(res_off.gbps) == repr(res_on.gbps)
-        assert res_off.events == res_on.events
+        res_parked, rep_parked, _ = run()
+        with pytest.MonkeyPatch.context() as patch:
+            strip_park_declarations(patch)
+            res_busy, rep_busy, _ = run()
+        assert res_parked.events_parked > 0
+        assert rep_busy.to_dict() == rep_parked.to_dict()
+        assert repr(res_busy.gbps) == repr(res_parked.gbps)
+        assert res_busy.events == res_parked.events

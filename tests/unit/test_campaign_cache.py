@@ -92,6 +92,26 @@ def test_fingerprint_changes_with_engine_features(monkeypatch):
     assert params_fingerprint("vpp") not in (warp_on, warp_off)
 
 
+def test_turbo_era_entries_are_misses(tmp_path, monkeypatch):
+    """Rows cached before the chain turbo was retired (WARP_VERSION 1,
+    ``warp`` column possibly ``turbo``) never mix with current rows."""
+    import repro.core.warp as warp_mod
+
+    monkeypatch.delenv("REPRO_WARP", raising=False)
+    current = warp_mod.WARP_VERSION
+    assert current >= 2
+    spec = RunSpec("p2p", "vpp")
+    monkeypatch.setattr(warp_mod, "WARP_VERSION", 1)
+    turbo_era = ResultCache(tmp_path / "cache")
+    record = _record(spec)
+    record.warp = "turbo"
+    turbo_era.put(spec, record)
+    assert turbo_era.get(spec) is not None
+
+    monkeypatch.setattr(warp_mod, "WARP_VERSION", current)
+    assert ResultCache(tmp_path / "cache").get(spec) is None
+
+
 def test_engine_toggle_invalidates_entries(tmp_path, monkeypatch):
     """A record cached with warp on is a miss once warp is off (and back)."""
     monkeypatch.delenv("REPRO_WARP", raising=False)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -208,7 +210,8 @@ def test_profile_surfaces_warp_state(capsys):
     -- per-packet profiling is one of the replay-safety guard rails)."""
     assert main(["p2p", "--switch", "vpp", "--profile"]) == 0
     out = capsys.readouterr().out
-    assert "warp: declined[turbo]: per-packet-tracing" in out
+    assert "warp: declined[replay]: per-packet-tracing" in out
+    assert re.search(r"^events: \d+ \(0 replayed, \d+ parked\)$", out, re.M)
 
 
 def test_no_warp_flag(capsys):

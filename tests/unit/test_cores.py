@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+from math import inf
+
 import pytest
 
+from repro.core.engine import Simulator
+from repro.core.packet import Packet
+from repro.core.ring import Ring
 from repro.cpu.cores import Core
 
 
@@ -119,3 +124,123 @@ def test_start_is_idempotent(sim):
 def test_cycles_to_ns_uses_core_frequency(sim):
     core = Core(sim, "c0", freq_hz=2.6e9)
     assert core.cycles_to_ns(2600) == pytest.approx(1000.0)
+
+
+# -- idle-grid parking ------------------------------------------------------
+
+
+class DrainTask:
+    """Drains a ring; optionally owes one poll at or after ``due``.
+
+    Declares ``park_rings`` only when ``parks`` is set, so the same task
+    without it is the busy-polling reference.
+    """
+
+    def __init__(self, sim, ring, due=None, parks=True):
+        self.sim = sim
+        self.ring = ring
+        self.due = due
+        self.work = []  # (time, what) of every poll that did something
+        if parks:
+            self.park_rings = (ring,)
+
+    def park_deadline(self):
+        return inf if self.due is None else self.due
+
+    def poll(self, core):
+        now = self.sim.now
+        if self.due is not None and now >= self.due:
+            self.due = None
+            self.work.append((now, "due"))
+            return 10.0
+        batch = self.ring.pop_batch(32)
+        if batch:
+            self.work.append((now, len(batch)))
+            return 40.0 * len(batch)
+        return 0.0
+
+
+def _parking_run(parks, pushes=(1_000.0, 1_003.0, 25_000.0), due=None,
+                 stops=(7_000.0, 40_000.0), fault=None):
+    """Drive one DrainTask core; return everything parking must preserve."""
+    sim = Simulator()
+    ring = Ring(64)
+    core = Core(sim, "c0")
+    task = DrainTask(sim, ring, due=due, parks=parks)
+    core.attach(task)
+    core.start()
+    for t in pushes:
+        sim.at(t, lambda: ring.push(Packet()))
+    if fault is not None:
+        fault(sim, core)
+    views = []
+    for stop in stops:
+        sim.run_until(stop)
+        views.append((
+            sim.now, sim._seq, sim.events_executed, sim.pending(),
+            core._idle_streak, core.busy_ns, tuple(task.work),
+        ))
+    return views, sim
+
+
+@pytest.mark.parametrize("due", [None, 12_345.6])
+def test_parked_core_matches_busy_polling(due):
+    parked, sim = _parking_run(True, due=due)
+    busy, busy_sim = _parking_run(False, due=due)
+    assert parked == busy
+    assert sim.events_parked > 0 and busy_sim.events_parked == 0
+    # Dispatched = executed - parked: parking removed most of the heap work.
+    assert sim.events_executed - sim.events_parked < busy_sim.events_executed / 10
+
+
+def test_park_deadline_poll_runs_on_the_busy_grid():
+    parked, _ = _parking_run(True, pushes=(), due=12_345.6)
+    busy, _ = _parking_run(False, pushes=(), due=12_345.6)
+    assert parked == busy
+    (when, what), = parked[-1][-1]
+    assert what == "due" and 12_345.6 <= when < 12_345.6 + 80 / 2.6
+
+
+def test_preempting_a_parked_core_matches_busy_polling():
+    # (A throttle on a parked core once hung ``_unpark``; that regression
+    # test runs in a subprocess, in tests/unit/test_parking.py.)
+    def preempt(sim, core):
+        sim.at(5_000.0, core.preempt)
+        sim.at(9_000.0, core.resume_from_preemption)
+
+    parked, sim = _parking_run(True, fault=preempt)
+    busy, _ = _parking_run(False, fault=preempt)
+    assert parked == busy
+    assert sim.events_parked > 0
+
+
+def test_observer_keeps_every_poll_on_the_heap():
+    class Observer:
+        def on_event(self, time_ns, callback):
+            pass
+
+    sim = Simulator()
+    ring = Ring(8)
+    core = Core(sim, "c0")
+    core.attach(DrainTask(sim, ring))
+    core.start()
+    sim.run_until(1_000.0)
+    assert core._parked
+    sim.set_observer(Observer())  # a parked core rejoins its grid
+    assert not core._parked
+    parked_so_far = sim.events_parked
+    sim.run_until(5_000.0)
+    assert sim.events_parked == parked_so_far
+
+
+def test_discard_pending_drops_parked_cores():
+    sim = Simulator()
+    core = Core(sim, "c0")
+    core.attach(DrainTask(sim, Ring(8)))
+    core.start()
+    sim.run_until(1_000.0)
+    assert sim.pending() == 1  # the parked core's next grid poll
+    sim.discard_pending()
+    events = sim.events_executed
+    sim.run_until(9_000.0)
+    assert sim.pending() == 0 and sim.events_executed == events
