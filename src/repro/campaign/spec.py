@@ -681,13 +681,11 @@ def execute_run(spec: RunSpec) -> RunRecord:
 
 
 def _warp_label(result) -> str | None:
-    """Compact record column for what the fast-forward engine did."""
-    report = getattr(result, "warp", None)
+    """Compact record column for what the fast-forward tiers did."""
+    report = result.warp
     if report is None:
         return None
-    if report.engaged:
-        return report.mode
-    return f"declined:{report.reason}"
+    return report.mode if report.engaged else f"declined:{report.reason}"
 
 
 def _obs_config_for_spec(spec: RunSpec):

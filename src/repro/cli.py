@@ -31,10 +31,11 @@ import os
 import sys
 
 from repro.analysis.tables import format_table
+from repro.core.warp import engine_features, env_setting
 from repro.measure.latency import latency_sweep
 from repro.measure.throughput import measure_throughput
 from repro.scenarios import loopback, p2p, p2v, v2v
-from repro.measure.runner import DEFAULT_MEASURE_NS, DEFAULT_WARMUP_NS, drive
+from repro.measure.runner import DEFAULT_MEASURE_NS, DEFAULT_WARMUP_NS, WATCHDOG_MODES, drive
 from repro.switches.registry import switch_names
 
 #: Scenarios the single-run commands (and ``trace``) accept.
@@ -432,13 +433,10 @@ def _emit_single_run_obs(
         report = observation.profile()
         print(_profile_table(report, scenario, args))
         if result is not None:
-            if result.warp is not None:
-                print(f"warp: {result.warp.describe()}")
-            else:
-                print("warp: disabled (REPRO_WARP=0 or --no-warp)")
-            replayed = result.warp.events_replayed if result.warp is not None else 0
+            tier = result.warp
+            print(f"warp: {tier.describe() if tier else 'disabled (REPRO_WARP=0 or --no-warp)'}")
             print(
-                f"events: {result.events} ({replayed} replayed, "
+                f"events: {result.events} ({tier.events_replayed if tier else 0} replayed, "
                 f"{result.events_parked} parked)"
             )
     if getattr(observation, "flowstats", None) is not None:
@@ -488,7 +486,7 @@ def _observed_single_run(args) -> int:
     if scenario == "v2v-latency":
         tb = v2v.build_latency(args.switch, frame_size=args.size, seed=args.seed)
         observation = observe(tb, config)
-        result = drive(tb, **_windows(args), warp=args.warp)
+        result = drive(tb, **_windows(args))
         bottleneck_scenario = "v2v"
     else:
         builders = {"p2p": p2p.build, "p2v": p2v.build, "v2v": v2v.build, "loopback": loopback.build}
@@ -502,9 +500,7 @@ def _observed_single_run(args) -> int:
             **extra,
         )
         observation = observe(tb, config)
-        result = drive(
-            tb, **_windows(args), bidirectional=args.bidirectional, warp=args.warp
-        )
+        result = drive(tb, **_windows(args), bidirectional=args.bidirectional)
         bottleneck_scenario = scenario
     observation.finish(result)
 
@@ -965,10 +961,12 @@ def main(argv: list[str] | None = None) -> int:
         _note(error)
         return 1
 
-    # --fluid/--fluid-tolerance flow through the environment so every
-    # execution path (single runs, campaign workers, sweeps) and the
+    # --warp/--fluid/--fluid-tolerance flow through the environment so
+    # every execution path (single runs, campaign workers, sweeps) and the
     # campaign cache fingerprint (engine_features) see one consistent
     # setting without threading a kwarg through each call chain.
+    if args.warp is not None:
+        os.environ["REPRO_WARP"] = "1" if args.warp else "0"
     if args.fluid is not None:
         os.environ["REPRO_FLUID"] = "1" if args.fluid else "0"
     if args.fluid_tolerance is not None:
@@ -976,6 +974,12 @@ def main(argv: list[str] | None = None) -> int:
             _note("--fluid-tolerance must be positive")
             return 1
         os.environ["REPRO_FLUID_TOLERANCE"] = repr(args.fluid_tolerance)
+    try:
+        engine_features()  # a malformed REPRO_* switch fails here, loudly
+        env_setting("REPRO_WATCHDOG", False, WATCHDOG_MODES)
+    except ValueError as exc:
+        _note(str(exc))
+        return 1
 
     # One --repeat semantics for the statistical commands: repeating
     # without stating how replicas differ would silently pick one
@@ -1123,7 +1127,7 @@ def main(argv: list[str] | None = None) -> int:
         if _obs_config(args) is not None:
             return _observed_single_run(args)
         tb = v2v.build_latency(args.switch, frame_size=args.size, seed=args.seed)
-        result = drive(tb, **_windows(args), warp=args.warp)
+        result = drive(tb, **_windows(args))
         latency = result.latency
         mean = latency.mean_us if latency is not None and len(latency) else float("nan")
         std = latency.std_us if latency is not None and len(latency) else float("nan")
@@ -1169,7 +1173,6 @@ def main(argv: list[str] | None = None) -> int:
         frame_size=args.size,
         bidirectional=args.bidirectional,
         seed=args.seed,
-        warp=args.warp,
         **_windows(args),
         **extra,
     )

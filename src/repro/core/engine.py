@@ -59,6 +59,9 @@ class Simulator:
         #: Parked cores (see :meth:`repro.cpu.cores.Core._park`).
         self._parked: list = []
         self._observer: "SimObserverProtocol | None" = None
+        #: Periodic read-only samplers scheduled here (watchdog scans,
+        #: telemetry); the fast-forward census declines while one runs.
+        self.samplers: list = []
         # One run == one Simulator: frame seqs restart so identical runs
         # hand out identical seqs regardless of process history.
         reset_seq()

@@ -20,15 +20,15 @@ the declared tolerance (``REPRO_FLUID_TOLERANCE``, default 5%).  When
 enabled it joins the campaign cache fingerprint (via
 :func:`repro.core.warp.engine_features`) so fluid rows can never collide
 with exact rows.  Probes and transients stay exact: latency samples come
-from the calibration slice, and runs with fault plans, churn, telemetry
-sessions or per-packet tracing decline to the exact tiers.
+from the calibration slice, and runs whose census holds a fact fluid
+cannot serve (:data:`FLUID_UNSERVED`) decline to the exact tiers.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from repro.core.warp import CENSUS_FACTS, WarpReport, env_setting, first_unserved, run_census
 
 if TYPE_CHECKING:
     from repro.scenarios.base import Testbed
@@ -49,84 +49,35 @@ CAL_CAP_NS = 8_000_000.0
 #: low rates (sources emit up to 32-frame bursts).
 QUANT_SLACK_PACKETS = 64
 
-
-def fluid_enabled(default: bool = False) -> bool:
-    """Whether the environment enables fluid mode (``REPRO_FLUID``)."""
-    value = os.environ.get("REPRO_FLUID", "").strip().lower()
-    if value in ("0", "false", "off", "no"):
-        return False
-    if value in ("1", "true", "on", "yes"):
-        return True
-    return default
+#: Census facts fluid cannot serve.  It serves static multi-flow traffic
+#: (the calibration slice executes the cache dynamics, so their cost is
+#: inside the measured rate) and per-packet emission (it reads only the
+#: meters); churn, telemetry, tracing, faults and samplers would all be
+#: silently truncated at the calibration edge.
+FLUID_UNSERVED = frozenset(CENSUS_FACTS) - {"multi-flow-traffic", "per-packet-emission"}
 
 
-def fluid_tolerance(default: float = 0.05) -> float:
-    """Declared max relative error vs exact mode (``REPRO_FLUID_TOLERANCE``)."""
-    value = os.environ.get("REPRO_FLUID_TOLERANCE", "").strip()
-    if not value:
-        return default
+def _positive_number(raw: str) -> float:
     try:
-        tolerance = float(value)
+        value = float(raw)
     except ValueError:
-        return default
-    return tolerance if tolerance > 0 else default
+        value = 0.0
+    if not value > 0:
+        raise ValueError("accepted values are positive numbers")
+    return value
 
 
-@dataclass
-class FluidReport:
-    """What the fluid tier did (or why it declined) for one driven run."""
-
-    engaged: bool
-    reason: str = ""
-    #: Simulated time covered by extrapolation instead of events.
-    fluid_ns: float = 0.0
-    #: Simulated time of the exact calibration slice.
-    calibration_ns: float = 0.0
-    tolerance: float = 0.05
-    #: Whether the attempt already advanced the clock past the window
-    #: open (a mid-window decline); the replay warp must then be skipped
-    #: because its pre-scan assumes a pre-window heap.
-    advanced: bool = False
-
-    def describe(self) -> str:
-        if self.engaged:
-            return (
-                f"engaged[fluid]: extrapolated {self.fluid_ns / 1e6:.3f} ms from a "
-                f"{self.calibration_ns / 1e6:.3f} ms calibration slice "
-                f"(tolerance {self.tolerance:.1%})"
-            )
-        return f"declined[fluid]: {self.reason}"
-
-
-class _FluidDecline(Exception):
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
-
-
-def _eligibility(tb: "Testbed", watchdog_active: bool) -> None:
-    if watchdog_active:
-        # The watchdog scans live state on a period; a cleared heap would
-        # silently stop its invariant coverage mid-window.
-        raise _FluidDecline("watchdog-active")
-    if tb.sim._observer is not None or tb.switch.obs is not None:
-        raise _FluidDecline("per-packet-tracing")
-    if tb.extras.get("fault_injector") is not None:
-        # Faults are exactly the transients fluid cannot extrapolate
-        # across; resilience runs stay on the exact tiers.
-        raise _FluidDecline("fault-plan-active")
-    population = tb.extras.get("flow_population")
-    if population is not None and population.churn_fps:
-        raise _FluidDecline("flow-churn")
-    if tb.switch.flowstats is not None or tb.extras.get("flowstats") is not None:
-        # Per-flow telemetry counts events; extrapolated counters would
-        # leave it silently truncated at the calibration edge.
-        raise _FluidDecline("flow-telemetry")
+def fluid_tolerance() -> float:
+    """Declared max relative error vs exact mode (``REPRO_FLUID_TOLERANCE``)."""
+    return env_setting("REPRO_FLUID_TOLERANCE", 0.05, _positive_number)
 
 
 def try_fluid(
-    tb: "Testbed", t_open: float, t_close: float, watchdog_active: bool = False
-) -> FluidReport:
+    tb: "Testbed",
+    t_open: float,
+    t_close: float,
+    census: tuple[str, ...] | None = None,
+) -> WarpReport:
     """Attempt the fluid fast-forward for the window ``[t_open, t_close]``.
 
     On engagement the meters hold extrapolated window counts, the event
@@ -134,17 +85,17 @@ def try_fluid(
     the clock.  On a pre-window decline the simulator is untouched; on a
     mid-window decline (``unstable-rate``) the run has simply executed
     exactly up to the calibration edge and ``advanced`` is set.
+    ``census`` is the run's :func:`~repro.core.warp.run_census` (taken
+    here when not given).
     """
     tolerance = fluid_tolerance()
-    try:
-        _eligibility(tb, watchdog_active)
-    except _FluidDecline as decline:
-        return FluidReport(engaged=False, reason=decline.reason, tolerance=tolerance)
-
     span = t_close - t_open
     cal_ns = min(CAL_CAP_NS, max(CAL_FLOOR_NS, CAL_FRACTION * span))
-    if span < 2.0 * cal_ns:
-        return FluidReport(engaged=False, reason="span-too-short", tolerance=tolerance)
+    reason = first_unserved(run_census(tb) if census is None else census, FLUID_UNSERVED)
+    if reason is None and span < 2.0 * cal_ns:
+        reason = "span-too-short"
+    if reason is not None:
+        return WarpReport(engaged=False, reason=reason, mode="fluid", tolerance=tolerance)
 
     sim = tb.sim
     meters = list(tb.meters)
@@ -164,10 +115,11 @@ def try_fluid(
             continue
         drift = abs(first - second)
         if drift / peak > tolerance and drift > QUANT_SLACK_PACKETS:
-            return FluidReport(
+            return WarpReport(
                 engaged=False,
                 reason="unstable-rate",
-                calibration_ns=cal_ns,
+                mode="fluid",
+                verify_ns=cal_ns,
                 tolerance=tolerance,
                 advanced=True,
             )
@@ -180,9 +132,10 @@ def try_fluid(
             packets1 + add_packets, bytes1 + add_bytes, meter.warmup_packets
         )
     sim.discard_pending()
-    return FluidReport(
+    return WarpReport(
         engaged=True,
-        fluid_ns=remaining,
-        calibration_ns=cal_ns,
+        mode="fluid",
+        warped_ns=remaining,
+        verify_ns=cal_ns,
         tolerance=tolerance,
     )

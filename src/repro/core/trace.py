@@ -61,6 +61,9 @@ class Series:
 class Telemetry:
     """Samples registered probes every ``period_ns`` until stopped."""
 
+    #: What the fast-forward census reports while sampling runs.
+    census_fact = "sampler-active"
+
     def __init__(self, sim: "Simulator", period_ns: float = 50_000.0) -> None:
         if period_ns <= 0:
             raise ValueError("sampling period must be positive")
@@ -74,6 +77,7 @@ class Telemetry:
         #: earlier generation is stale and dies silently, so stop() and
         #: restarts never leave a phantom sampler in the event queue.
         self._generation = 0
+        sim.samplers.append(self)
 
     def watch(self, name: str, probe: Callable[[], float]) -> Series:
         """Register an arbitrary probe function."""

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.core.packet import DEFAULT_DST_MAC, DEFAULT_SRC_MAC, PacketBlock
+from repro.core.packet import DEFAULT_DST_MAC, DEFAULT_SRC_MAC, PacketBlock, blocks_enabled
 from repro.core.ring import Ring
 from repro.core.units import wire_time_ns
 from repro.cpu.cores import Core
@@ -73,15 +73,33 @@ MIN_VERIFY_NS = 250_000.0
 
 _M32 = 0xFFFFFFFF
 
+#: Accepted spellings of a boolean ``REPRO_*`` switch.
+FLAG_VALUES = {
+    "1": True, "true": True, "on": True, "yes": True,
+    "0": False, "false": False, "off": False, "no": False,
+}
 
-def warp_enabled(default: bool = True) -> bool:
-    """Whether the environment enables the warp (``REPRO_WARP``)."""
-    value = os.environ.get("REPRO_WARP", "").strip().lower()
-    if value in ("0", "false", "off", "no"):
-        return False
-    if value in ("1", "true", "on", "yes"):
-        return True
-    return default
+
+def env_setting(
+    name: str, default: Any, accepted: dict[str, Any] | Callable[[str], Any] = FLAG_VALUES
+) -> Any:
+    """Read the ``REPRO_*`` switch ``name``; unset or blank gives ``default``.
+
+    ``accepted`` maps each (lower-case) spelling to its value, or converts
+    a numeric setting and raises ``ValueError`` saying what it accepts.
+    Any other value raises ``ValueError`` naming the variable, so a typo
+    fails loudly instead of running with the default.
+    """
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        return accepted(raw) if callable(accepted) else accepted[raw.lower()]
+    except KeyError:
+        problem = f"accepted values are {', '.join(accepted)}"
+    except ValueError as exc:
+        problem = str(exc)
+    raise ValueError(f"{name}={raw!r}: {problem}")
 
 
 def engine_features() -> dict[str, Any]:
@@ -93,10 +111,12 @@ def engine_features() -> dict[str, Any]:
     extra fingerprint keys, but only when enabled: rows cached before
     fluid mode existed stay valid for exact runs.
     """
-    features: dict[str, Any] = {"warp": warp_enabled(), "warp_version": WARP_VERSION}
-    from repro.core.fluid import FLUID_VERSION, fluid_enabled, fluid_tolerance
+    features: dict[str, Any] = {
+        "warp": env_setting("REPRO_WARP", True), "warp_version": WARP_VERSION,
+    }
+    from repro.core.fluid import FLUID_VERSION, fluid_tolerance
 
-    if fluid_enabled():
+    if env_setting("REPRO_FLUID", False):
         features["fluid"] = True
         features["fluid_version"] = FLUID_VERSION
         features["fluid_tolerance"] = fluid_tolerance()
@@ -105,28 +125,42 @@ def engine_features() -> dict[str, Any]:
 
 @dataclass
 class WarpReport:
-    """What the fast-forward engine did (or why it declined) for one run.
+    """What a fast-forward tier did (or why it declined) for one run.
 
-    ``mode`` names the tier that produced the report: ``"replay"`` for
-    the p2p steady-state mirror, ``"fluid"`` for the rate-based
-    approximation tier.  (Idle-poll parking is not a tier: it runs in
-    ordinary dispatch and is counted by ``Simulator.events_parked``.)
+    ``mode`` names the tier: ``"replay"`` for the p2p steady-state
+    mirror, ``"fluid"`` for the rate-based approximation.  (Idle-poll
+    parking is not a tier: it runs in ordinary dispatch and is counted
+    by ``Simulator.events_parked``.)
     """
 
     engaged: bool
     reason: str = ""
+    #: Simulated time advanced without dispatch (replayed or extrapolated).
     warped_ns: float = 0.0
     events_replayed: int = 0
+    #: Simulated time executed exactly to justify the fast-forward:
+    #: replay's shadow-verified slice, fluid's calibration slice.
     verify_ns: float = 0.0
     mode: str = "replay"
+    #: Declared max relative error of the result (0 for exact tiers).
+    tolerance: float = 0.0
+    #: A decline after the clock passed the window open (fluid's
+    #: ``unstable-rate``): replay, which needs a pre-window heap, is skipped.
+    advanced: bool = False
 
     def describe(self) -> str:
-        if self.engaged:
+        if not self.engaged:
+            return f"declined[{self.mode}]: {self.reason}"
+        if self.mode == "fluid":
             return (
-                f"engaged[{self.mode}]: replayed {self.events_replayed} events over "
-                f"{self.warped_ns / 1e6:.3f} ms (verified {self.verify_ns / 1e3:.0f} us)"
+                f"engaged[fluid]: extrapolated {self.warped_ns / 1e6:.3f} ms from a "
+                f"{self.verify_ns / 1e6:.3f} ms calibration slice "
+                f"(tolerance {self.tolerance:.1%})"
             )
-        return f"declined[{self.mode}]: {self.reason}"
+        return (
+            f"engaged[{self.mode}]: replayed {self.events_replayed} events over "
+            f"{self.warped_ns / 1e6:.3f} ms (verified {self.verify_ns / 1e3:.0f} us)"
+        )
 
 
 class _Decline(Exception):
@@ -135,6 +169,52 @@ class _Decline(Exception):
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
         self.reason = reason
+
+
+# -- run census ---------------------------------------------------------------
+
+#: Run-level facts that may stop a tier, in decline precedence.  Each
+#: tier declares the facts it cannot serve and declines with the first
+#: one the census holds.  Traffic shape comes first, so ``--profile``
+#: names it rather than its own tracing; samplers come last, so a
+#: watchdog over a run never hides the run's own reason.
+CENSUS_FACTS = (
+    "flow-churn", "multi-flow-traffic", "flow-telemetry", "per-packet-tracing",
+    "per-packet-emission", "fault-plan-active", "sampler-active", "watchdog-active",
+)
+
+#: Replay serves none of them: its mirror models one static flow with
+#: block emission, no observers, faults or periodic samplers.
+REPLAY_UNSERVED = frozenset(CENSUS_FACTS)
+
+
+def run_census(tb: "Testbed") -> tuple[str, ...]:
+    """The census facts that hold for a wired run, in decline precedence.
+
+    :func:`repro.measure.runner.drive` takes it once per run, after the
+    environment's watchdog is attached, and hands it to every tier.
+    """
+    held = {sampler.census_fact for sampler in tb.sim.samplers if sampler.running}
+    population = tb.extras.get("flow_population")
+    if population is not None:
+        # Flow-diverse load drives stateful cache dynamics (EMC thrash,
+        # eviction storms); churn keeps them from ever settling.
+        held.add("flow-churn" if population.churn_fps else "multi-flow-traffic")
+    if tb.extras.get("flowstats") is not None or tb.switch.flowstats is not None:
+        # Per-flow accounting reads every drop/send/forward event.
+        held.add("flow-telemetry")
+    if tb.sim._observer is not None or tb.switch.obs is not None:
+        held.add("per-packet-tracing")
+    if not blocks_enabled():
+        held.add("per-packet-emission")
+    if tb.extras.get("fault_injector") is not None:
+        held.add("fault-plan-active")
+    return tuple(fact for fact in CENSUS_FACTS if fact in held)
+
+
+def first_unserved(census: tuple[str, ...], unserved: frozenset[str]) -> str | None:
+    """The first census fact a tier cannot serve (its decline reason)."""
+    return next((fact for fact in census if fact in unserved), None)
 
 
 # -- pending-event recognition ---------------------------------------------
@@ -200,9 +280,8 @@ class _Ctx:
     )
 
 
-def _eligibility(tb: "Testbed", watchdog_active: bool) -> _Ctx:
+def _eligibility(tb: "Testbed", census: tuple[str, ...]) -> _Ctx:
     """Resolve the p2p steady-state structure or raise :class:`_Decline`."""
-    from repro.core.packet import blocks_enabled
     from repro.switches.bess import Bess
     from repro.switches.fastclick import FastClick
     from repro.switches.ovs_dpdk import OvsDpdk
@@ -210,28 +289,11 @@ def _eligibility(tb: "Testbed", watchdog_active: bool) -> _Ctx:
     from repro.switches.vpp import Vpp
     from repro.traffic.moongen import MoonGenRx, MoonGenTx
 
-    if watchdog_active:
-        raise _Decline("watchdog-active")
     if tb.scenario != "p2p":
         raise _Decline(f"scenario:{tb.scenario}")
-    population = tb.extras.get("flow_population")
-    if population is not None:
-        # Flow-diverse offered load drives stateful cache dynamics (EMC
-        # thrash, eviction storms) the steady-state replay does not model.
-        # Checked before the observability gates so --profile surfaces the
-        # traffic-shape reason rather than its own tracing decline.
-        raise _Decline("flow-churn" if population.churn_fps else "multi-flow-traffic")
-    if tb.extras.get("flowstats") is not None:
-        # Per-flow accounting reads every drop/send/forward event; the
-        # replayed fast-path skips those call sites, so warping would
-        # silently under-count the telemetry.
-        raise _Decline("flow-telemetry")
-    if tb.sim._observer is not None:
-        raise _Decline("per-packet-tracing")
-    if not blocks_enabled():
-        raise _Decline("per-packet-emission")
-    if tb.extras.get("fault_injector") is not None:
-        raise _Decline("fault-plan-active")
+    reason = first_unserved(census, REPLAY_UNSERVED)
+    if reason is not None:
+        raise _Decline(reason)
     txs = tb.extras.get("tx")
     rxs = tb.extras.get("rx")
     if not txs or not rxs:
@@ -251,12 +313,6 @@ def _eligibility(tb: "Testbed", watchdog_active: bool) -> _Ctx:
         raise _Decline("pipeline-switch")
     if params.interrupt_driven:
         raise _Decline("interrupt-driven")
-    if sw.obs is not None:
-        raise _Decline("per-packet-tracing")
-    if sw.flowstats is not None:
-        # Belt-and-braces for a switch wired directly (wire_flowstats
-        # normally also registers the session in tb.extras).
-        raise _Decline("flow-telemetry")
     if sw._overload_factor() != 1.0:
         raise _Decline("overloaded-switch")
     if type(sw) is OvsDpdk and len(sw.flow_table):
@@ -1095,7 +1151,7 @@ def try_warp(
     tb: "Testbed",
     t_open: float,
     t_close: float,
-    watchdog_active: bool = False,
+    census: tuple[str, ...] | None = None,
 ) -> WarpReport:
     """Attempt to fast-forward ``tb`` across the measurement window.
 
@@ -1105,71 +1161,56 @@ def try_warp(
     last event at or before ``t_close`` (the caller's ``run_until`` then
     just advances the clock).  On decline the simulator has only been
     advanced by real dispatch (possibly not at all) and the caller's
-    ``run_until`` finishes the run normally.
+    ``run_until`` finishes the run normally.  ``census`` is the run's
+    :func:`run_census` (taken here when not given).
     """
     try:
-        ctx = _eligibility(tb, watchdog_active)
+        ctx = _eligibility(tb, run_census(tb) if census is None else census)
+        verify_ns = max(MIN_VERIFY_NS, 2.5 * tb.switch.params.jitter_period_ns)
+        t_verify = t_open + verify_ns
+        if t_close - t_verify < verify_ns:
+            raise _Decline("span-too-short")
+        tb.sim.run_until(t_open)
+        # The replay mirrors a busy-polling SUT core and its verification
+        # compares heap entries, so the window is busy-polled: a parked core
+        # becomes its pending grid poll again and parks no more until done.
+        core = ctx.core
+        if core._parked:
+            core._unpark()
+        park_rings, core._park_rings = core._park_rings, None
+        try:
+            replayed = _warp_window(ctx, t_verify, t_close)
+        finally:
+            core._park_rings = park_rings
     except _Decline as decline:
         return WarpReport(engaged=False, reason=decline.reason)
-
-    verify_ns = max(MIN_VERIFY_NS, 2.5 * tb.switch.params.jitter_period_ns)
-    t_verify = t_open + verify_ns
-    if t_close - t_verify < verify_ns:
-        return WarpReport(engaged=False, reason="span-too-short")
-
-    sim = tb.sim
-    sim.run_until(t_open)
-    # The replay mirrors a busy-polling SUT core and its verification
-    # compares heap entries, so the window is busy-polled: a parked core
-    # becomes its pending grid poll again and parks no more until done.
-    core = ctx.core
-    if core._parked:
-        core._unpark()
-    park_rings, core._park_rings = core._park_rings, None
-    try:
-        return _warp_window(ctx, t_open, t_verify, t_close, verify_ns)
-    finally:
-        core._park_rings = park_rings
-
-
-def _warp_window(
-    ctx: _Ctx, t_open: float, t_verify: float, t_close: float, verify_ns: float
-) -> WarpReport:
-    """Verify then replay ``[t_open, t_close]`` (see :func:`try_warp`)."""
-    sim = ctx.sim
-    try:
-        st0 = _snapshot(ctx)
-        _prescan(ctx, st0, t_verify)
-        shadow = _clone_backend(ctx)
-        _replay(ctx, st0, shadow, t_verify)
-    except _Decline as decline:
-        return WarpReport(engaged=False, reason=decline.reason)
-    # run_until clamps the clock to its horizon; mirror that before diffing.
-    if st0.now < t_verify:
-        st0.now = t_verify
-    predicted = _predicted_view(ctx, st0, shadow)
-
-    sim.run_until(t_verify)
-    try:
-        actual = _actual_view(ctx)
-    except _Decline as decline:
-        return WarpReport(engaged=False, reason=decline.reason)
-    if predicted != actual:
-        return WarpReport(engaged=False, reason="verify-mismatch", verify_ns=verify_ns)
-
-    try:
-        st1 = _snapshot(ctx)
-        _prescan(ctx, st1, t_close)
-        replayed = _replay(ctx, st1, _real_backend(ctx), t_close)
-    except _Decline as decline:  # pragma: no cover - structure just verified
-        return WarpReport(engaged=False, reason=decline.reason)
-    _commit(ctx, st1)
     return WarpReport(
         engaged=True,
         warped_ns=t_close - t_verify,
         events_replayed=replayed,
         verify_ns=verify_ns,
     )
+
+
+def _warp_window(ctx: _Ctx, t_verify: float, t_close: float) -> int:
+    """Verify up to ``t_verify``, then replay to ``t_close`` and commit;
+    returns the replayed event count (see :func:`try_warp`)."""
+    st0 = _snapshot(ctx)
+    _prescan(ctx, st0, t_verify)
+    shadow = _clone_backend(ctx)
+    _replay(ctx, st0, shadow, t_verify)
+    # run_until clamps the clock to its horizon; mirror that before diffing.
+    if st0.now < t_verify:
+        st0.now = t_verify
+    predicted = _predicted_view(ctx, st0, shadow)
+    ctx.sim.run_until(t_verify)
+    if predicted != _actual_view(ctx):
+        raise _Decline("verify-mismatch")
+    st1 = _snapshot(ctx)
+    _prescan(ctx, st1, t_close)
+    replayed = _replay(ctx, st1, _real_backend(ctx), t_close)
+    _commit(ctx, st1)
+    return replayed
 
 
 # -- generic state fingerprint (property tests) ------------------------------

@@ -79,6 +79,9 @@ class _RingState:
 class InvariantWatchdog:
     """Periodic invariant scanner over a testbed's rings and paths."""
 
+    #: What the fast-forward census reports while scanning runs.
+    census_fact = "watchdog-active"
+
     def __init__(
         self,
         tb: "Testbed",
@@ -96,6 +99,7 @@ class InvariantWatchdog:
         self._running = False
         self._rings = self._collect_rings()
         self._states = {id(ring): _RingState() for _, ring in self._rings}
+        tb.sim.samplers.append(self)
 
     def _collect_rings(self) -> list[tuple[str, Ring]]:
         """Every ring the testbed owns, labelled for diagnostics."""
@@ -132,6 +136,10 @@ class InvariantWatchdog:
 
     def stop(self) -> None:
         self._running = False
+
+    @property
+    def running(self) -> bool:
+        return self._running
 
     def _scan(self) -> None:
         if not self._running:

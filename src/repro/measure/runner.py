@@ -2,7 +2,8 @@
 
 Setting ``REPRO_WATCHDOG=1`` in the environment attaches an
 :class:`~repro.faults.watchdog.InvariantWatchdog` to every driven
-testbed (``REPRO_WATCHDOG=strict`` raises on the first violation;
+testbed (``REPRO_WATCHDOG=strict`` raises on the first violation, a
+value that is neither a flag nor ``strict`` raises ``ValueError``;
 ``REPRO_WATCHDOG_REPORT=path.jsonl`` appends one report row per run).
 The watchdog is a read-only periodic scanner, so measured numbers are
 unchanged -- it exists so CI can assert model invariants across the
@@ -15,9 +16,9 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from repro.core.fluid import FluidReport, fluid_enabled, try_fluid
+from repro.core.fluid import try_fluid
 from repro.core.stats import LatencySample
-from repro.core.warp import WarpReport, try_warp, warp_enabled
+from repro.core.warp import FLAG_VALUES, WarpReport, env_setting, run_census, try_warp
 from repro.scenarios.base import Testbed
 
 #: Default windows.  Throughput stabilises within a few hundred
@@ -26,11 +27,14 @@ from repro.scenarios.base import Testbed
 DEFAULT_WARMUP_NS = 600_000.0
 DEFAULT_MEASURE_NS = 3_000_000.0
 
+#: ``REPRO_WATCHDOG`` values: the flag spellings plus ``strict``.
+WATCHDOG_MODES = {**FLAG_VALUES, "strict": "strict"}
+
 
 def _env_watchdog(tb: Testbed):
     """Attach the opt-in invariant watchdog when the environment asks."""
-    mode = os.environ.get("REPRO_WATCHDOG", "")
-    if mode not in ("1", "true", "strict"):
+    mode = env_setting("REPRO_WATCHDOG", False, WATCHDOG_MODES)
+    if not mode:
         return None
     from repro.faults.watchdog import InvariantWatchdog
 
@@ -56,10 +60,9 @@ class RunResult:
     #: Idle polls among ``events`` that parked cores skipped, so
     #: dispatched = events - warp.events_replayed - events_parked.
     events_parked: int = 0
-    #: What the steady-state fast-forward did (None when warp disabled).
+    #: What the fast-forward tiers did: the engaged tier's report, else
+    #: the last attempted tier's decline (None when no tier was enabled).
     warp: WarpReport | None = None
-    #: What the fluid tier did (None when fluid mode is off).
-    fluid: FluidReport | None = None
 
     @property
     def gbps(self) -> float:
@@ -90,8 +93,13 @@ def drive(
 
     ``fluid`` opts into the approximate tier (:mod:`repro.core.fluid`):
     ``None`` follows ``REPRO_FLUID`` (default off).  When fluid engages
-    it supersedes the exact tiers for that run; when it declines the run
-    falls through to them.
+    it supersedes the exact tiers for that run; when it declines before
+    the window opens the run falls through to them.
+
+    Both tiers judge the run from one :func:`~repro.core.warp.run_census`,
+    taken once here after the environment's watchdog is attached, and
+    ``RunResult.warp`` says which tier advanced the window or why the
+    last one tried declined.
     """
     if warmup_ns < 0:
         raise ValueError("warmup_ns must be non-negative")
@@ -103,21 +111,14 @@ def drive(
         meter.open_window(t_open)
         meter.close_window(t_close)
     watchdog = _env_watchdog(tb)
-    warp_report: WarpReport | None = None
-    fluid_report: FluidReport | None = None
-    if fluid if fluid is not None else fluid_enabled():
-        fluid_report = try_fluid(tb, t_open, t_close, watchdog is not None)
-    if fluid_report is not None and fluid_report.engaged:
-        warp_report = WarpReport(
-            engaged=True,
-            mode="fluid",
-            warped_ns=fluid_report.fluid_ns,
-            verify_ns=fluid_report.calibration_ns,
-        )
-    elif (warp if warp is not None else warp_enabled()) and (
-        fluid_report is None or not fluid_report.advanced
+    census = run_census(tb)
+    report: WarpReport | None = None
+    if fluid if fluid is not None else env_setting("REPRO_FLUID", False):
+        report = try_fluid(tb, t_open, t_close, census)
+    if (report is None or not (report.engaged or report.advanced)) and (
+        warp if warp is not None else env_setting("REPRO_WARP", True)
     ):
-        warp_report = try_warp(tb, t_open, t_close, watchdog is not None)
+        report = try_warp(tb, t_open, t_close, census)
     tb.sim.run_until(t_close)
     if watchdog is not None:
         watchdog.finalize()
@@ -154,6 +155,5 @@ def drive(
         latency=latency,
         events=tb.sim.events_executed,
         events_parked=tb.sim.events_parked,
-        warp=warp_report,
-        fluid=fluid_report,
+        warp=report,
     )

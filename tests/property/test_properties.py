@@ -462,13 +462,22 @@ class TestWarpIdentityProperties:
     def test_warp_engages_on_clean_p2p(self, switch, run_seed):
         """On the shapes warp targets, it must actually engage (a silent
         blanket decline would also pass the identity property)."""
+        import pytest
+
         from repro.measure.runner import drive
         from repro.scenarios import p2p
 
-        tb = p2p.build(switch, frame_size=64, rate_pps=3_000_000.0, seed=run_seed)
-        result = drive(tb, warmup_ns=400_000.0, measure_ns=1_600_000.0, warp=True)
-        assert result.warp is not None and result.warp.engaged, (
-            switch,
-            run_seed,
-            result.warp.describe() if result.warp else None,
-        )
+        def run():
+            tb = p2p.build(switch, frame_size=64, rate_pps=3_000_000.0, seed=run_seed)
+            return drive(tb, warmup_ns=400_000.0, measure_ns=1_600_000.0, warp=True)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delenv("REPRO_WATCHDOG", raising=False)  # replay declines it
+            result = run()
+            assert result.warp is not None and result.warp.engaged, (
+                switch,
+                run_seed,
+                result.warp.describe() if result.warp else None,
+            )
+            patch.setenv("REPRO_WATCHDOG", "1")
+            assert run().warp.reason == "watchdog-active"

@@ -24,8 +24,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from _helpers import strip_park_declarations
-from repro.core.fluid import fluid_tolerance
+from repro.core.fluid import fluid_tolerance, try_fluid
 from repro.core.warp import state_fingerprint
+from repro.faults.watchdog import InvariantWatchdog
 from repro.measure.runner import drive
 from repro.scenarios import loopback, p2p, p2v, v2v
 
@@ -88,9 +89,15 @@ class TestFluidTolerance:
             tb = p2p.build("vpp", frame_size=64, rate_pps=rate, seed=run_seed)
             return drive(tb, warmup_ns=6e5, measure_ns=measure_ns, fluid=fluid)
 
-        exact = run(False)
-        approx = run(True)
-        assert approx.fluid is not None and approx.fluid.engaged
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delenv("REPRO_WATCHDOG", raising=False)  # fluid declines it
+            exact = run(False)
+            approx = run(True)
+        assert approx.warp.mode == "fluid" and approx.warp.engaged
+        # The same run declines once a watchdog scans it.
+        tb = p2p.build("vpp", frame_size=64, rate_pps=rate, seed=run_seed)
+        InvariantWatchdog(tb).start()
+        assert try_fluid(tb, 6e5, 6e5 + measure_ns).reason == "watchdog-active"
         assert exact.mpps > 0
         rel_err = abs(approx.mpps - exact.mpps) / exact.mpps
         assert rel_err <= fluid_tolerance(), (

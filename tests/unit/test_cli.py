@@ -102,6 +102,30 @@ def test_campaign_command_smoke(capsys, tmp_path, monkeypatch):
     assert "8 cache hits" in out
 
 
+def test_campaign_no_warp_reaches_pooled_runs_and_cache_keys(capsys, tmp_path, monkeypatch):
+    """--no-warp travels like --fluid, through the environment, so pooled
+    runs store no replay label and the cache keys the toggle."""
+    import csv
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_WARP", "1")  # restored after main() sets it
+    monkeypatch.delenv("REPRO_WATCHDOG", raising=False)  # replay declines it
+    args = [
+        "campaign", "--suite", "smoke", "--switches", "vpp",
+        "--warmup-ns", "100000", "--measure-ns", "1000000",
+    ]
+
+    def p2p_label(flag):
+        path = f"{flag.strip('-')}.csv"
+        assert main(args + [flag, "--export-csv", path]) == 0
+        rows = list(csv.DictReader(open(path)))
+        return next(row["warp"] for row in rows if row["scenario"] == "p2p")
+
+    assert p2p_label("--warp") == "replay"
+    assert p2p_label("--no-warp") == ""
+    assert "4 executed" in capsys.readouterr().out.rsplit("campaign summary:", 1)[1]
+
+
 def test_campaign_rejects_unknown_suite_and_switch(capsys):
     assert main(["campaign", "--suite", "nope"]) == 1
     assert "unknown suite" in capsys.readouterr().out
@@ -214,6 +238,7 @@ def test_profile_surfaces_warp_state(capsys):
     assert re.search(r"^events: \d+ \(0 replayed, \d+ parked\)$", out, re.M)
 
 
-def test_no_warp_flag(capsys):
+def test_no_warp_flag(capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_WARP", "1")  # restored after main() sets it
     assert main(["p2p", "--switch", "vpp", "--profile", "--no-warp"]) == 0
     assert "warp: disabled" in capsys.readouterr().out

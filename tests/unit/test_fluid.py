@@ -4,29 +4,33 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.fluid import (
-    CAL_CAP_NS,
-    CAL_FLOOR_NS,
-    FluidReport,
-    fluid_enabled,
-    fluid_tolerance,
-    try_fluid,
-)
-from repro.core.warp import engine_features
+from repro.core.fluid import CAL_CAP_NS, CAL_FLOOR_NS, fluid_tolerance, try_fluid
+from repro.core.trace import Telemetry
+from repro.core.warp import WarpReport, engine_features, env_setting, try_warp
+from repro.faults.watchdog import InvariantWatchdog
 from repro.measure.runner import drive
 from repro.scenarios import p2p
 
 
+def _fluid(result):
+    """The run's fluid report (asserting fluid was the tier reported)."""
+    assert result.warp is not None and result.warp.mode == "fluid", result.warp
+    return result.warp
+
+
 def test_fluid_enabled_parses_environment(monkeypatch):
     monkeypatch.delenv("REPRO_FLUID", raising=False)
-    assert fluid_enabled() is False
-    assert fluid_enabled(default=True) is True
+    assert env_setting("REPRO_FLUID", False) is False
+    assert env_setting("REPRO_FLUID", True) is True
     for value, expected in [
         ("1", True), ("true", True), ("on", True), ("yes", True),
         ("0", False), ("false", False), ("off", False), ("", False),
     ]:
         monkeypatch.setenv("REPRO_FLUID", value)
-        assert fluid_enabled() is expected, value
+        assert env_setting("REPRO_FLUID", False) is expected, value
+    monkeypatch.setenv("REPRO_FLUID", "maybe")
+    with pytest.raises(ValueError, match=r"REPRO_FLUID='maybe'.*1, true, on, yes"):
+        env_setting("REPRO_FLUID", False)
 
 
 def test_fluid_tolerance_parses_environment(monkeypatch):
@@ -34,8 +38,10 @@ def test_fluid_tolerance_parses_environment(monkeypatch):
     assert fluid_tolerance() == 0.05
     monkeypatch.setenv("REPRO_FLUID_TOLERANCE", "0.02")
     assert fluid_tolerance() == 0.02
-    monkeypatch.setenv("REPRO_FLUID_TOLERANCE", "garbage")
-    assert fluid_tolerance() == 0.05
+    for bad in ("garbage", "-1", "0", "nan"):
+        monkeypatch.setenv("REPRO_FLUID_TOLERANCE", bad)
+        with pytest.raises(ValueError, match="REPRO_FLUID_TOLERANCE.*positive numbers"):
+            fluid_tolerance()
 
 
 def test_engine_features_gain_fluid_keys_only_when_enabled(monkeypatch):
@@ -51,21 +57,28 @@ def test_engine_features_gain_fluid_keys_only_when_enabled(monkeypatch):
 
 
 def test_report_describe_both_shapes():
-    engaged = FluidReport(
-        engaged=True, fluid_ns=9e6, calibration_ns=1e6, tolerance=0.05
+    engaged = WarpReport(
+        engaged=True, mode="fluid", warped_ns=9e6, verify_ns=1e6, tolerance=0.05
     )
-    assert engaged.describe().startswith("engaged[fluid]:")
-    declined = FluidReport(engaged=False, reason="span-too-short")
+    assert engaged.describe() == (
+        "engaged[fluid]: extrapolated 9.000 ms from a 1.000 ms calibration "
+        "slice (tolerance 5.0%)"
+    )
+    declined = WarpReport(engaged=False, mode="fluid", reason="span-too-short")
     assert declined.describe() == "declined[fluid]: span-too-short"
 
 
-def test_engages_on_clean_run_and_extrapolates():
+def test_engages_on_clean_run_and_extrapolates(monkeypatch):
+    monkeypatch.delenv("REPRO_WATCHDOG", raising=False)  # fluid declines it
     tb = p2p.build("vpp", frame_size=64, rate_pps=3e6, seed=1)
+    watched = p2p.build("vpp", frame_size=64, rate_pps=3e6, seed=1)
+    InvariantWatchdog(watched).start()
+    assert try_fluid(watched, 6e5, 6e5 + 6e7).reason == "watchdog-active"
     result = drive(tb, warmup_ns=6e5, measure_ns=6e7, fluid=True)
-    report = result.fluid
-    assert report is not None and report.engaged, result
-    assert CAL_FLOOR_NS <= report.calibration_ns <= CAL_CAP_NS
-    assert report.fluid_ns == pytest.approx(6e7 - report.calibration_ns)
+    report = _fluid(result)
+    assert report.engaged, result
+    assert CAL_FLOOR_NS <= report.verify_ns <= CAL_CAP_NS
+    assert report.warped_ns == pytest.approx(6e7 - report.verify_ns)
     # The heap was drained and meters hold extrapolated window counts.
     assert result.mpps == pytest.approx(3.0, rel=0.05)
     total = sum(m.packets for m in tb.meters)
@@ -82,9 +95,35 @@ def test_declines_below_double_calibration_span():
 
 def test_declines_under_watchdog():
     tb = p2p.build("vpp", frame_size=64, seed=1)
-    report = try_fluid(tb, 6e5, 6e7, watchdog_active=True)
+    InvariantWatchdog(tb).start()
+    report = try_fluid(tb, 6e5, 6e7)
     assert not report.engaged
     assert report.reason == "watchdog-active"
+
+
+def test_samplers_decline_instead_of_being_truncated(monkeypatch):
+    """Fluid would stop a running watchdog or Telemetry at the calibration
+    edge when it discards the heap; the run declines and samples it all."""
+    monkeypatch.delenv("REPRO_WATCHDOG", raising=False)
+    tb = p2p.build("vpp", frame_size=64, rate_pps=1e6, seed=1)
+    watchdog = InvariantWatchdog(tb)
+    watchdog.start()
+    telemetry = Telemetry(tb.sim)
+    series = telemetry.watch_ring("rx", tb.extras["sut_ports"][0].rx_ring)
+    telemetry.start()
+    result = drive(tb, warmup_ns=6e5, measure_ns=6e7, fluid=True)
+    assert result.warp.describe() == "declined[replay]: sampler-active"
+    assert watchdog.scans >= 600
+    assert series.times_ns[-1] >= 6e5 + 6e7 - telemetry.period_ns
+    # Both tiers decline with the sampler's own reason.
+    for attach, reason in (
+        (lambda tb: Telemetry(tb.sim).start(), "sampler-active"),
+        (lambda tb: InvariantWatchdog(tb).start(), "watchdog-active"),
+    ):
+        for attempt in (try_fluid, try_warp):
+            tb = p2p.build("vpp", frame_size=64, rate_pps=1e6, seed=1)
+            attach(tb)
+            assert attempt(tb, 6e5, 6e7).reason == reason
 
 
 def test_declines_on_armed_fault_plan():
@@ -124,22 +163,29 @@ def test_declines_on_flow_churn():
 
 def test_drive_fluid_kwarg_pins_the_tier(monkeypatch):
     monkeypatch.delenv("REPRO_FLUID", raising=False)
+    monkeypatch.delenv("REPRO_WATCHDOG", raising=False)  # fluid declines it
     tb = p2p.build("vpp", frame_size=64, rate_pps=3e6, seed=1)
-    result = drive(tb, measure_ns=6e7, fluid=True)
-    assert result.fluid is not None and result.fluid.engaged
-    assert result.warp is not None
-    assert result.warp.engaged and result.warp.mode == "fluid"
+    assert _fluid(drive(tb, measure_ns=6e7, fluid=True)).engaged
     # Default-off: no fluid attempt at all without the kwarg or env.
     tb = p2p.build("vpp", frame_size=64, rate_pps=3e6, seed=1)
-    result = drive(tb, measure_ns=6e7)
-    assert result.fluid is None
+    assert drive(tb, measure_ns=6e7).warp.mode == "replay"
+    # The same run declines under the environment's watchdog.
+    monkeypatch.setenv("REPRO_WATCHDOG", "1")
+    tb = p2p.build("vpp", frame_size=64, rate_pps=3e6, seed=1)
+    assert _fluid(drive(tb, measure_ns=6e7, fluid=True, warp=False)).reason == (
+        "watchdog-active"
+    )
 
 
-def test_fluid_rate_within_declared_tolerance():
+def test_fluid_rate_within_declared_tolerance(monkeypatch):
+    monkeypatch.delenv("REPRO_WATCHDOG", raising=False)  # fluid declines it
     tb = p2p.build("vpp", frame_size=64, rate_pps=3e6, seed=1)
     exact = drive(tb, measure_ns=6e7)
     tb = p2p.build("vpp", frame_size=64, rate_pps=3e6, seed=1)
     fluid = drive(tb, measure_ns=6e7, fluid=True)
-    assert fluid.fluid.engaged
+    assert _fluid(fluid).engaged
+    tb = p2p.build("vpp", frame_size=64, rate_pps=3e6, seed=1)
+    InvariantWatchdog(tb).start()
+    assert try_fluid(tb, 6e5, 6e5 + 6e7).reason == "watchdog-active"
     rel_err = abs(fluid.mpps - exact.mpps) / exact.mpps
     assert rel_err <= fluid_tolerance()

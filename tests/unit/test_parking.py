@@ -129,7 +129,7 @@ def test_fluid_never_settles_parked_cores_across_its_span(monkeypatch):
     def run():
         tb = p2v.build("vpp", frame_size=64, rate_pps=1e6, seed=1)
         result = drive(tb, warmup_ns=2e5, measure_ns=4e6, fluid=True)
-        assert result.fluid is not None and result.fluid.engaged
+        assert result.warp.mode == "fluid" and result.warp.engaged
         return result, tuple((m.packets, m.bytes) for m in tb.meters)
 
     (r_parked, m_parked) = run()

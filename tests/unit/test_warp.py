@@ -20,9 +20,10 @@ from repro.core.warp import (
     WARP_VERSION,
     WarpReport,
     engine_features,
+    env_setting,
+    run_census,
     state_fingerprint,
     try_warp,
-    warp_enabled,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan
@@ -42,16 +43,33 @@ def _drive(tb, warp):
 
 def test_warp_enabled_parses_environment(monkeypatch):
     monkeypatch.delenv("REPRO_WARP", raising=False)
-    assert warp_enabled() is True
-    assert warp_enabled(default=False) is False
+    assert env_setting("REPRO_WARP", True) is True
+    assert env_setting("REPRO_WARP", False) is False
     for value in ("0", "false", "off", "no", " OFF "):
         monkeypatch.setenv("REPRO_WARP", value)
-        assert warp_enabled() is False, value
+        assert env_setting("REPRO_WARP", True) is False, value
     for value in ("1", "true", "on", "yes"):
         monkeypatch.setenv("REPRO_WARP", value)
-        assert warp_enabled(default=False) is True, value
+        assert env_setting("REPRO_WARP", False) is True, value
     monkeypatch.setenv("REPRO_WARP", "gibberish")
-    assert warp_enabled() is True  # unrecognised -> default
+    with pytest.raises(ValueError, match=r"REPRO_WARP='gibberish'.*0, false, off, no"):
+        env_setting("REPRO_WARP", True)
+
+
+def test_watchdog_switch_fails_loudly(monkeypatch):
+    """REPRO_WATCHDOG takes the flag spellings plus ``strict``; anything
+    else raises instead of silently attaching nothing."""
+    from repro.measure.runner import _env_watchdog
+
+    for value, strict in (("on", False), ("yes", False), ("strict", True)):
+        monkeypatch.setenv("REPRO_WATCHDOG", value)
+        watchdog = _env_watchdog(p2p.build("vpp", frame_size=64))
+        assert watchdog is not None and watchdog.running and watchdog.strict is strict
+    monkeypatch.setenv("REPRO_WATCHDOG", "off")
+    assert _env_watchdog(p2p.build("vpp", frame_size=64)) is None
+    monkeypatch.setenv("REPRO_WATCHDOG", "loud")
+    with pytest.raises(ValueError, match=r"REPRO_WATCHDOG='loud'.*strict"):
+        _env_watchdog(p2p.build("vpp", frame_size=64))
 
 
 def test_engine_features_reflect_warp_state(monkeypatch):
@@ -63,7 +81,9 @@ def test_engine_features_reflect_warp_state(monkeypatch):
 
 def test_report_describe_both_shapes():
     ok = WarpReport(engaged=True, warped_ns=2e6, events_replayed=7, verify_ns=2.5e5)
-    assert "engaged" in ok.describe() and "7 events" in ok.describe()
+    assert ok.describe() == (
+        "engaged[replay]: replayed 7 events over 2.000 ms (verified 250 us)"
+    )
     no = WarpReport(engaged=False, reason="probes-active")
     assert no.describe() == "declined[replay]: probes-active"
     turbo = WarpReport(engaged=True, mode="turbo", warped_ns=1e6)
@@ -73,8 +93,15 @@ def test_report_describe_both_shapes():
 # -- engagement and bit-identity --------------------------------------------
 
 
+def _declines_under_env_watchdog(build, monkeypatch):
+    """The same run, scanned by the environment's watchdog, declines."""
+    monkeypatch.setenv("REPRO_WATCHDOG", "1")
+    assert _drive(build(), warp=True).warp.reason == "watchdog-active"
+
+
 @pytest.mark.parametrize("switch", ["vpp", "ovs-dpdk"])
-def test_warp_engages_and_is_bit_identical(switch):
+def test_warp_engages_and_is_bit_identical(switch, monkeypatch):
+    monkeypatch.delenv("REPRO_WATCHDOG", raising=False)  # replay declines it
     off = p2p.build(switch, frame_size=64, rate_pps=3e6)
     r_off = _drive(off, warp=False)
     on = p2p.build(switch, frame_size=64, rate_pps=3e6)
@@ -88,19 +115,24 @@ def test_warp_engages_and_is_bit_identical(switch):
         repr(v) for v in r_on.per_direction_gbps
     ]
     assert r_off.events == r_on.events
+    _declines_under_env_watchdog(
+        lambda: p2p.build(switch, frame_size=64, rate_pps=3e6), monkeypatch
+    )
 
 
-def test_warp_engages_under_saturating_input():
+def test_warp_engages_under_saturating_input(monkeypatch):
+    monkeypatch.delenv("REPRO_WATCHDOG", raising=False)  # replay declines it
     tb = p2p.build("bess", frame_size=64)
     result = _drive(tb, warp=True)
     assert result.warp is not None and result.warp.engaged
+    _declines_under_env_watchdog(lambda: p2p.build("bess", frame_size=64), monkeypatch)
 
 
 # -- automatic declines ------------------------------------------------------
 
 
-def _reason(tb, watchdog_active=False):
-    report = try_warp(tb, WARMUP, WARMUP + MEASURE, watchdog_active)
+def _reason(tb):
+    report = try_warp(tb, WARMUP, WARMUP + MEASURE)
     assert not report.engaged
     return report.reason
 
@@ -125,8 +157,29 @@ def test_declines_on_armed_fault_plan():
 
 
 def test_declines_under_watchdog():
+    from repro.faults.watchdog import InvariantWatchdog
+
     tb = p2p.build("vpp", frame_size=64)
-    assert _reason(tb, watchdog_active=True) == "watchdog-active"
+    watchdog = InvariantWatchdog(tb)
+    assert run_census(tb) == ()  # constructed, not yet scanning
+    watchdog.start()
+    assert _reason(tb) == "watchdog-active"
+    watchdog.stop()
+    assert run_census(tb) == ()
+
+
+def test_census_orders_facts_by_one_precedence():
+    from repro.core.trace import Telemetry
+    from repro.faults.watchdog import InvariantWatchdog
+    from repro.obs import ObsConfig, observe
+
+    tb = p2p.build("ovs-dpdk", frame_size=64, flows=64, flow_dist="uniform")
+    InvariantWatchdog(tb).start()
+    Telemetry(tb.sim).start()
+    observe(tb, ObsConfig(profile=True))
+    assert run_census(tb) == (
+        "multi-flow-traffic", "per-packet-tracing", "sampler-active", "watchdog-active",
+    )
 
 
 def test_declines_on_per_packet_observation():
@@ -155,7 +208,7 @@ def test_declines_on_bidirectional_traffic():
 @pytest.mark.parametrize("switch", ["snabb", "vale"])
 def test_declines_on_unsupported_switches(switch):
     tb = p2p.build(switch, frame_size=64)
-    report = try_warp(tb, WARMUP, WARMUP + MEASURE, False)
+    report = try_warp(tb, WARMUP, WARMUP + MEASURE)
     assert not report.engaged
     assert report.reason  # a stable, non-empty reason is part of the contract
     # ...and the run still completes normally afterwards.
@@ -166,7 +219,7 @@ def test_declines_on_unsupported_switches(switch):
 
 def test_declines_on_short_span():
     tb = p2p.build("vpp", frame_size=64)
-    report = try_warp(tb, 100_000.0, 200_000.0, False)
+    report = try_warp(tb, 100_000.0, 200_000.0)
     assert not report.engaged
     assert report.reason == "span-too-short"
 

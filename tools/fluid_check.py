@@ -6,8 +6,8 @@ and gates the per-cell relative throughput error at the declared fluid
 tolerance (``REPRO_FLUID_TOLERANCE``, default 5%).  Also asserts the
 engagement contract: every gated cell must actually engage the fluid
 tier (a silent decline would A/B exact against exact and prove nothing),
-and runs that must stay exact (fault plans, per-flow telemetry) must
-decline with their stable reasons.
+and runs that must stay exact (fault plans, watchdog scans, telemetry
+samplers, short windows) must decline with their stable reasons.
 
 Writes a JSON artifact (``--out``) with per-cell errors and speedups for
 the CI ``fluid-validation`` job.
@@ -44,28 +44,50 @@ def run(build, switch, kwargs, rate, measure_ns, fluid):
     return res, time.perf_counter() - t0
 
 
+def engaged(result):
+    return result.warp is not None and result.warp.engaged and result.warp.mode == "fluid"
+
+
 def check_declines():
     """Runs that must stay exact decline with their stable reasons."""
+    from repro.core.trace import Telemetry
     from repro.faults.injector import FaultInjector
-    from repro.faults.plan import FaultEvent, FaultPlan
+    from repro.faults.plan import FaultPlan, parse_fault
+    from repro.faults.watchdog import InvariantWatchdog
 
+    flap = parse_fault("nic-link-flap@sut-nic.p1:at_ns=1200000,duration_ns=300000")
+    cases = {
+        "fault-plan-active": (lambda tb: FaultInjector(tb, FaultPlan.of(flap)).arm(), 6e7),
+        "watchdog-active": (lambda tb: InvariantWatchdog(tb).start(), 6e7),
+        "sampler-active": (lambda tb: Telemetry(tb.sim).start(), 6e7),
+        "span-too-short": (lambda tb: None, 1.5e6),
+    }
     failures = []
-    tb = p2p.build("vpp", frame_size=64)
-    plan = FaultPlan.of(
-        FaultEvent.from_dict(
-            {"kind": "nic-link-flap", "target": "sut-nic.p1", "at_ns": 1.2e6,
-             "duration_ns": 3e5}
-        )
-    )
-    FaultInjector(tb, plan).arm()
-    report = try_fluid(tb, 6e5, 6e7)
-    if report.engaged or report.reason != "fault-plan-active":
-        failures.append(f"fault plan: expected decline, got {report.describe()}")
-    tb = p2p.build("vpp", frame_size=64)
-    report = try_fluid(tb, 6e5, 1.5e6)
-    if report.engaged or report.reason != "span-too-short":
-        failures.append(f"short span: expected decline, got {report.describe()}")
+    for reason, (attach, t_close) in cases.items():
+        tb = p2p.build("vpp", frame_size=64)
+        attach(tb)
+        report = try_fluid(tb, 6e5, t_close)
+        if report.engaged or report.reason != reason:
+            failures.append(f"{reason}: expected decline, got {report.describe()}")
     return failures
+
+
+def cell(label, r_ex, r_fl, w_ex, w_fl, tolerance):
+    """One A/B cell; ``ok`` when fluid engaged within tolerance."""
+    rel_err = abs(r_fl.mpps - r_ex.mpps) / r_ex.mpps if r_ex.mpps > 0 else 0.0
+    return {
+        "cell": label,
+        "engaged": engaged(r_fl),
+        "fluid": r_fl.warp.describe(),
+        "mpps_exact": r_ex.mpps,
+        "mpps_fluid": r_fl.mpps,
+        "rel_error": rel_err,
+        "tolerance": tolerance,
+        "wall_exact_s": w_ex,
+        "wall_fluid_s": w_fl,
+        "speedup": w_ex / w_fl if w_fl > 0 else float("inf"),
+        "ok": engaged(r_fl) and rel_err <= tolerance,
+    }
 
 
 def check_hour_scale(min_speedup: float):
@@ -83,31 +105,15 @@ def check_hour_scale(min_speedup: float):
     tolerance = fluid_tolerance()
     r_ex, w_ex = run(p2p.build, "vpp", {}, 3_000_000.0, EXACT_NS, fluid=False)
     r_fl, w_fl = run(p2p.build, "vpp", {}, 3_000_000.0, HOUR_NS, fluid=True)
-    engaged = r_fl.fluid is not None and r_fl.fluid.engaged
-    rel_err = abs(r_fl.mpps - r_ex.mpps) / r_ex.mpps if r_ex.mpps > 0 else 0.0
-    est_exact_wall = w_ex * (HOUR_NS / EXACT_NS)
-    speedup = est_exact_wall / w_fl if w_fl > 0 else float("inf")
-    ok = engaged and rel_err <= tolerance and speedup >= min_speedup
+    hour = cell("hour-scale/vpp/p2p", r_ex, r_fl, w_ex * (HOUR_NS / EXACT_NS), w_fl, tolerance)
+    hour["min_speedup"] = min_speedup
+    hour["ok"] = ok = hour["ok"] and hour["speedup"] >= min_speedup
     print(
         f"{'OK ' if ok else 'FAIL'} hour-scale vpp/p2p: fluid_wall={w_fl:.2f}s "
-        f"est_exact_wall={est_exact_wall:.0f}s x{speedup:.0f} "
-        f"(floor x{min_speedup:.0f}) err={rel_err:.4%} (tol {tolerance:.1%})"
+        f"est_exact_wall={hour['wall_exact_s']:.0f}s x{hour['speedup']:.0f} "
+        f"(floor x{min_speedup:.0f}) err={hour['rel_error']:.4%} (tol {tolerance:.1%})"
     )
-    cell = {
-        "cell": "hour-scale/vpp/p2p",
-        "engaged": engaged,
-        "fluid": r_fl.fluid.describe() if r_fl.fluid else "none",
-        "mpps_exact": r_ex.mpps,
-        "mpps_fluid": r_fl.mpps,
-        "rel_error": rel_err,
-        "tolerance": tolerance,
-        "wall_exact_s": est_exact_wall,
-        "wall_fluid_s": w_fl,
-        "speedup": speedup,
-        "min_speedup": min_speedup,
-        "ok": ok,
-    }
-    return cell, (0 if ok else 1)
+    return hour, (0 if ok else 1)
 
 
 def main():
@@ -128,40 +134,20 @@ def main():
         label = f"{switch}/{scenario}/{'saturating' if rate is None else 'sub-capacity'}"
         r_ex, w_ex = run(build, switch, kwargs, rate, args.measure_ns, fluid=False)
         r_fl, w_fl = run(build, switch, kwargs, rate, args.measure_ns, fluid=True)
-        engaged = r_fl.fluid is not None and r_fl.fluid.engaged
-        rel_err = (
-            abs(r_fl.mpps - r_ex.mpps) / r_ex.mpps if r_ex.mpps > 0 else 0.0
-        )
-        speedup = w_ex / w_fl if w_fl > 0 else float("inf")
-        ok = engaged and rel_err <= tolerance
-        if not ok:
-            failures += 1
-        cells.append(
-            {
-                "cell": label,
-                "engaged": engaged,
-                "fluid": r_fl.fluid.describe() if r_fl.fluid else "none",
-                "mpps_exact": r_ex.mpps,
-                "mpps_fluid": r_fl.mpps,
-                "rel_error": rel_err,
-                "tolerance": tolerance,
-                "wall_exact_s": w_ex,
-                "wall_fluid_s": w_fl,
-                "speedup": speedup,
-                "ok": ok,
-            }
-        )
+        cells.append(cell(label, r_ex, r_fl, w_ex, w_fl, tolerance))
+        ok = cells[-1]["ok"]
+        failures += not ok
         print(
             f"{'OK ' if ok else 'FAIL'} {label:28s} exact={r_ex.mpps:.4f} "
-            f"fluid={r_fl.mpps:.4f} Mpps err={rel_err:.4%} "
-            f"(tol {tolerance:.1%}) x{speedup:.0f}"
+            f"fluid={r_fl.mpps:.4f} Mpps err={cells[-1]['rel_error']:.4%} "
+            f"(tol {tolerance:.1%}) x{cells[-1]['speedup']:.0f}"
         )
-        if not engaged:
-            print(f"  fluid did not engage: {r_fl.fluid.describe() if r_fl.fluid else 'no report'}")
+        if not engaged(r_fl):
+            print(f"  fluid did not engage: {r_fl.warp.describe()}")
 
     if args.hour_scale:
-        cell, failed = check_hour_scale(args.min_speedup)
-        cells.append(cell)
+        hour, failed = check_hour_scale(args.min_speedup)
+        cells.append(hour)
         failures += failed
 
     decline_failures = check_declines()
