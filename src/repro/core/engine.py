@@ -59,9 +59,9 @@ class Simulator:
         #: Parked cores (see :meth:`repro.cpu.cores.Core._park`).
         self._parked: list = []
         self._observer: "SimObserverProtocol | None" = None
-        #: Periodic read-only samplers scheduled here (watchdog scans,
-        #: telemetry); the fast-forward census declines while one runs.
-        self.samplers: list = []
+        #: Every :class:`Periodic` on this clock (telemetry, watchdog
+        #: scans); the fast-forward census declines while one runs.
+        self.samplers: list[Periodic] = []
         # One run == one Simulator: frame seqs restart so identical runs
         # hand out identical seqs regardless of process history.
         reset_seq()
@@ -191,3 +191,62 @@ class Simulator:
         self._now = now
         self._seq = seq
         self.events_executed = events
+
+
+class Periodic:
+    """One read-only periodic sampler on a simulator's clock.
+
+    ``tick`` is called every ``period_ns`` from :meth:`start` until
+    :meth:`stop` or, with ``until_ns``, through a last tick clamped to
+    exactly ``until_ns``.  Each start queues a fresh tick closure and
+    only the current one re-arms: a start or stop voids the queued tick,
+    so a restart never leaves a second chain running.  Every instance
+    registers on ``sim.samplers`` under ``census_fact``, the fact the
+    fast-forward census reports while it runs.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        period_ns: float,
+        tick: Callable[[], object],
+        census_fact: str,
+    ) -> None:
+        if not period_ns > 0:
+            raise ValueError(f"sampling period must be positive, got {period_ns}")
+        self.sim = sim
+        self.period_ns = period_ns
+        self.census_fact = census_fact
+        self._tick = tick
+        #: The queued tick closure of the current start; None when stopped.
+        self._armed: Callable[[], None] | None = None
+        sim.samplers.append(self)
+
+    @property
+    def running(self) -> bool:
+        return self._armed is not None
+
+    def start(self, delay_ns: float = 0.0, until_ns: float | None = None) -> None:
+        """Tick after ``delay_ns``, then every period; no-op while running."""
+        if self._armed is not None:
+            return
+        end = math.inf if until_ns is None else until_ns
+
+        def fire() -> None:
+            if self._armed is not fire:
+                return  # voided by a stop or restart
+            now = self.sim.now
+            if now <= end:
+                self._tick()
+            if self._armed is fire:
+                if now < end:
+                    self.sim.at(min(now + self.period_ns, end), fire)
+                else:
+                    self._armed = None
+
+        self._armed = fire
+        self.sim.after(delay_ns, fire)
+
+    def stop(self) -> None:
+        """Halt at once; the queued tick dies when it comes due."""
+        self._armed = None

@@ -4,20 +4,20 @@ The paper identifies bottlenecks by reasoning about where time goes; the
 simulated testbed can simply *show* it.  A :class:`Telemetry` instance
 samples registered probes (ring occupancy, core utilisation, counters)
 on a fixed period and keeps the time series for post-run analysis --
-used by the bottleneck-hunting example and by tests that assert queue
-dynamics (e.g. queues grow at 0.99 R+ but not at 0.50 R+).
+used by the bottleneck-hunting example, by the degradation timeline of
+:func:`repro.measure.resilience.measure_resilience`, and by tests that
+assert queue dynamics (e.g. queues grow at 0.99 R+ but not at 0.50 R+).
+Sampling runs on one :class:`~repro.core.engine.Periodic` schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
+from repro.core.engine import Periodic, Simulator
 from repro.core.ring import Ring
 from repro.cpu.cores import Core
-
-if TYPE_CHECKING:
-    from repro.core.engine import Simulator
 
 
 @dataclass
@@ -61,23 +61,12 @@ class Series:
 class Telemetry:
     """Samples registered probes every ``period_ns`` until stopped."""
 
-    #: What the fast-forward census reports while sampling runs.
-    census_fact = "sampler-active"
-
-    def __init__(self, sim: "Simulator", period_ns: float = 50_000.0) -> None:
-        if period_ns <= 0:
-            raise ValueError("sampling period must be positive")
+    def __init__(self, sim: Simulator, period_ns: float = 50_000.0) -> None:
         self.sim = sim
+        self._schedule = Periodic(sim, period_ns, self._sample, "sampler-active")
         self.period_ns = period_ns
         self._probes: list[tuple[Series, Callable[[], float]]] = []
         self.series: dict[str, Series] = {}
-        self._running = False
-        self._stop_at: float | None = None
-        #: Bumped on every start/stop; a scheduled ``_sample`` from an
-        #: earlier generation is stale and dies silently, so stop() and
-        #: restarts never leave a phantom sampler in the event queue.
-        self._generation = 0
-        sim.samplers.append(self)
 
     def watch(self, name: str, probe: Callable[[], float]) -> Series:
         """Register an arbitrary probe function."""
@@ -102,34 +91,22 @@ class Telemetry:
 
     @property
     def running(self) -> bool:
-        return self._running
+        return self._schedule.running
 
     def start(self, stop_at_ns: float | None = None) -> None:
-        """Begin (or resume) sampling; restarting after a ``stop_at_ns``
-        expiry or an explicit :meth:`stop` appends to the same series."""
-        if self._running:
-            return
-        self._running = True
-        self._stop_at = stop_at_ns
-        self._generation += 1
-        generation = self._generation
-        self.sim.after(0, lambda: self._sample(generation))
+        """Begin (or resume) sampling now; the last sample lands exactly
+        on ``stop_at_ns`` when given.  Restarting after that expiry or an
+        explicit :meth:`stop` appends to the same series."""
+        self._schedule.start(until_ns=stop_at_ns)
 
     def stop(self) -> None:
         """Halt sampling immediately; the pending sample event is voided."""
-        self._running = False
-        self._generation += 1
+        self._schedule.stop()
 
-    def _sample(self, generation: int) -> None:
-        if generation != self._generation or not self._running:
-            return
+    def _sample(self) -> None:
         now = self.sim.now
-        if self._stop_at is not None and now > self._stop_at:
-            self._running = False
-            return
         for series, probe in self._probes:
             series.add(now, float(probe()))
-        self.sim.after(self.period_ns, lambda: self._sample(generation))
 
     def utilization(self, core_series_name: str) -> float:
         """Mean utilisation derived from a cumulative busy-time series."""

@@ -5,10 +5,11 @@ model-corruption symptoms that would otherwise silently skew results --
 especially under fault injection, where class swaps and instance
 overrides could, if buggy, break ring accounting or packet conservation.
 
-It is an *external* observer: a self-re-arming simulator event walks the
-structures every ``interval_ns``.  Nothing is hooked into hot paths, so a
-run without a watchdog executes exactly the same instructions as before
-this module existed, and the watchdog's own cost is O(rings) per scan.
+It is an *external* observer: a :class:`~repro.core.engine.Periodic`
+schedule walks the structures every ``interval_ns``.  Nothing is hooked
+into hot paths, so a run without a watchdog executes exactly the same
+instructions as before this module existed, and the watchdog's own cost
+is O(rings) per scan.
 
 Checks per scan:
 
@@ -27,11 +28,11 @@ Checks per scan:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+from repro.core.engine import Periodic
 from repro.core.packet import PacketBlock
-from repro.core.ring import Ring
 
 if TYPE_CHECKING:
     from repro.scenarios.base import Testbed
@@ -79,73 +80,36 @@ class _RingState:
 class InvariantWatchdog:
     """Periodic invariant scanner over a testbed's rings and paths."""
 
-    #: What the fast-forward census reports while scanning runs.
-    census_fact = "watchdog-active"
-
     def __init__(
         self,
         tb: "Testbed",
         interval_ns: float = 100_000.0,
         strict: bool = False,
     ) -> None:
-        if interval_ns <= 0:
-            raise ValueError(f"watchdog interval must be positive, got {interval_ns}")
         self.tb = tb
+        self._schedule = Periodic(tb.sim, interval_ns, self.scan_once, "watchdog-active")
         self.interval_ns = interval_ns
         self.strict = strict
         self.violations: list[Violation] = []
         self.scans = 0
         self.checks_run = 0
-        self._running = False
-        self._rings = self._collect_rings()
+        #: Every ring the testbed owns, labelled for diagnostics.
+        self._rings = [(ring.name, ring) for ring in tb.rings()]
         self._states = {id(ring): _RingState() for _, ring in self._rings}
-        tb.sim.samplers.append(self)
-
-    def _collect_rings(self) -> list[tuple[str, Ring]]:
-        """Every ring the testbed owns, labelled for diagnostics."""
-        rings: dict[int, tuple[str, Ring]] = {}
-
-        def add(ring: Ring) -> None:
-            rings.setdefault(id(ring), (ring.name, ring))
-
-        switch = self.tb.switch
-        for attachment in switch.attachments:
-            add(attachment.input_ring)
-        for path in switch.paths:
-            add(path.link)
-        for vm in self.tb.vms:
-            for vif in vm.interfaces:
-                add(vif.to_guest)
-                add(vif.to_host)
-        for vif in self.tb.extras.get("vifs", ()):
-            add(vif.to_guest)
-            add(vif.to_host)
-        for key in ("gen_ports", "sut_ports"):
-            for port in self.tb.extras.get(key, ()):
-                add(port.rx_ring)
-        return list(rings.values())
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Begin scanning; re-arms itself every ``interval_ns``."""
-        if self._running:
-            return
-        self._running = True
-        self.tb.sim.after(self.interval_ns, self._scan)
+        """Begin scanning: first scan one interval from now, then every
+        interval; a restart voids the previous chain's queued scan."""
+        self._schedule.start(delay_ns=self.interval_ns)
 
     def stop(self) -> None:
-        self._running = False
+        self._schedule.stop()
 
     @property
     def running(self) -> bool:
-        return self._running
-
-    def _scan(self) -> None:
-        if not self._running:
-            return
-        self.scan_once()
-        self.tb.sim.after(self.interval_ns, self._scan)
+        return self._schedule.running
 
     # -- the checks --------------------------------------------------------
 
@@ -242,7 +206,7 @@ class InvariantWatchdog:
 
     def finalize(self) -> dict[str, Any]:
         """Run one last scan (end-of-run state) and return the report."""
-        self._running = False
+        self._schedule.stop()
         self.scan_once()
         return self.report()
 

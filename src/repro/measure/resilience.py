@@ -1,7 +1,8 @@
 """Resilience measurement: what a fault costs and how fast it heals.
 
 Drives a testbed with a :class:`~repro.faults.plan.FaultPlan` armed and a
-read-only timeline sampler attached, then computes:
+read-only timeline :class:`~repro.core.trace.Telemetry` attached, then
+computes:
 
 * **pre-fault baseline** ``R_pre`` -- mean delivered rate over the bins
   between warm-up end and the first fault;
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.stats import LatencySample
+from repro.core.trace import Telemetry
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.measure.runner import (
@@ -86,72 +88,23 @@ class ResilienceReport:
         }
 
 
-def _drop_counters(tb: Testbed) -> list[Callable[[], int]]:
-    """Readers over every drop counter the testbed owns (deduplicated)."""
-    readers: list[Callable[[], int]] = []
-    seen: set[int] = set()
-
-    def add_ring(ring) -> None:
-        if id(ring) not in seen:
-            seen.add(id(ring))
-            readers.append(lambda r=ring: r.dropped)
-
-    for attachment in tb.switch.attachments:
-        add_ring(attachment.input_ring)
-    for path in tb.switch.paths:
-        add_ring(path.link)
-    for vm in tb.vms:
-        for vif in vm.interfaces:
-            add_ring(vif.to_guest)
-            add_ring(vif.to_host)
-    for vif in tb.extras.get("vifs", ()):
-        add_ring(vif.to_guest)
-        add_ring(vif.to_host)
-    for key in ("gen_ports", "sut_ports"):
-        for port in tb.extras.get(key, ()):
-            add_ring(port.rx_ring)
-            if id(port) not in seen:
-                seen.add(id(port))
-                readers.append(lambda p=port: p.tx_dropped + p.driver_drops)
-    return readers
-
-
-class _TimelineSampler:
-    """Snapshots cumulative delivered/dropped counters on a fixed grid."""
-
-    def __init__(self, tb: Testbed, bin_ns: float, t_end_ns: float) -> None:
-        if bin_ns <= 0:
-            raise ValueError(f"bin_ns must be positive, got {bin_ns}")
-        self.tb = tb
-        self.bin_ns = bin_ns
-        self.t_end_ns = t_end_ns
-        self._drops = _drop_counters(tb)
-        #: rows of (t_ns, delivered_cum, dropped_cum, latency_counts)
-        self.rows: list[tuple[float, int, int, tuple[int, ...]]] = []
-
-    def start(self) -> None:
-        self._snap()
-        self._arm_next()
-
-    def _arm_next(self) -> None:
-        now = self.tb.sim.now
-        nxt = min(now + self.bin_ns, self.t_end_ns)
-        if nxt > now:
-            self.tb.sim.at(nxt, self._tick)
-
-    def _tick(self) -> None:
-        self._snap()
-        self._arm_next()
-
-    def _snap(self) -> None:
-        delivered = sum(
-            meter.packets + meter.warmup_packets for meter in self.tb.meters
-        )
-        dropped = sum(reader() for reader in self._drops)
-        latency_counts = tuple(
-            len(meter.latency.samples_ns) for meter in self.tb.latency_meters
-        )
-        self.rows.append((self.tb.sim.now, delivered, dropped, latency_counts))
+def _timeline(tb: Testbed, bin_ns: float) -> Telemetry:
+    """Cumulative delivered frames, drops and probe-RTT counts per bin."""
+    telemetry = Telemetry(tb.sim, bin_ns)
+    rings = tb.rings()
+    ports = tb.host_ports()
+    telemetry.watch(
+        "delivered",
+        lambda: sum(meter.packets + meter.warmup_packets for meter in tb.meters),
+    )
+    telemetry.watch(
+        "dropped",
+        lambda: sum(ring.dropped for ring in rings)
+        + sum(port.tx_dropped + port.driver_drops for port in ports),
+    )
+    for i, meter in enumerate(tb.latency_meters):
+        telemetry.watch(f"latency.{i}", lambda m=meter: len(m.latency.samples_ns))
+    return telemetry
 
 
 def _percentile_us(samples: list[float], q: float = 99.0) -> float | None:
@@ -166,17 +119,21 @@ def _percentile_us(samples: list[float], q: float = 99.0) -> float | None:
 def analyze(
     tb: Testbed,
     plan: FaultPlan,
-    sampler: _TimelineSampler,
+    telemetry: Telemetry,
     injector: FaultInjector,
     warmup_ns: float,
     epsilon: float,
 ) -> ResilienceReport:
-    """Fold sampler rows + fault spans into a :class:`ResilienceReport`."""
-    rows = sampler.rows
+    """Fold the timeline's series + fault spans into a :class:`ResilienceReport`."""
+    series = telemetry.series
+    #: rows of (t_ns, delivered_cum, dropped_cum)
+    rows = list(zip(
+        series["delivered"].times_ns, series["delivered"].values, series["dropped"].values
+    ))
     fault_start = plan.first_at_ns
     fault_end = plan.last_end_ns
     timeline: list[dict[str, float]] = []
-    for (t0, d0, x0, _), (t1, d1, x1, _) in zip(rows, rows[1:]):
+    for (t0, d0, x0), (t1, d1, x1) in zip(rows, rows[1:]):
         width = t1 - t0
         pps = (d1 - d0) * 1e9 / width if width > 0 else 0.0
         timeline.append(
@@ -227,13 +184,16 @@ def analyze(
     # the last fault window.
     p99_pre = p99_post = inflation = None
     if tb.latency_meters:
+        counts = list(zip(*(
+            series[f"latency.{i}"].values for i in range(len(tb.latency_meters))
+        )))
         pre_counts = [0] * len(tb.latency_meters)
         post_counts: list[int] | None = None
-        for t, _, _, counts in rows:
+        for (t, _, _), row_counts in zip(rows, counts):
             if t <= fault_start:
-                pre_counts = list(counts)
+                pre_counts = [int(n) for n in row_counts]
             if post_counts is None and t >= fault_end:
-                post_counts = list(counts)
+                post_counts = [int(n) for n in row_counts]
         if post_counts is None:
             post_counts = [len(m.latency.samples_ns) for m in tb.latency_meters]
         pre_samples: list[float] = []
@@ -252,7 +212,7 @@ def analyze(
         switch=tb.switch.params.name,
         frame_size=tb.frame_size,
         epsilon=epsilon,
-        bin_ns=sampler.bin_ns,
+        bin_ns=telemetry.period_ns,
         fault_start_ns=fault_start,
         fault_end_ns=fault_end,
         pre_fault_pps=r_pre,
@@ -314,8 +274,8 @@ def measure_resilience(
         observation = observe(tb, observe_config)
     injector = FaultInjector(tb, plan)
     injector.arm()
-    sampler = _TimelineSampler(tb, bin_ns, warmup_ns + measure_ns)
-    sampler.start()
+    timeline = _timeline(tb, bin_ns)
+    timeline.start(stop_at_ns=warmup_ns + measure_ns)
     result = drive(
         tb,
         warmup_ns=warmup_ns,
@@ -323,7 +283,7 @@ def measure_resilience(
         bidirectional=bidirectional,
         warp=warp,
     )
-    report = analyze(tb, plan, sampler, injector, warmup_ns, epsilon)
+    report = analyze(tb, plan, timeline, injector, warmup_ns, epsilon)
     if observation is not None:
         injector.export(observation)
         observation.finish(result)

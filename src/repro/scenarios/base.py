@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.engine import Simulator
+from repro.core.ring import Ring
 from repro.core.rng import RngRegistry
 from repro.core.stats import RateMeter
 from repro.cpu.cores import Core
@@ -52,6 +53,25 @@ class Testbed:
     @property
     def aggregate_gbps_parts(self) -> list[float]:
         return [meter.gbps() for meter in self.meters]
+
+    def host_ports(self) -> list[NicPort]:
+        """The generator and SUT NIC ports, once each (generator first)."""
+        ports = {id(port): port for key in ("gen_ports", "sut_ports")
+                 for port in self.extras.get(key, ())}
+        return list(ports.values())
+
+    def rings(self) -> list[Ring]:
+        """Every ring the testbed owns, once each, in first-seen wiring
+        order: switch inputs, path links, guest then bare vifs (to-guest
+        before to-host), host-port RX rings."""
+        vifs = [vif for vm in self.vms for vif in vm.interfaces]
+        vifs.extend(self.extras.get("vifs", ()))
+        rings = [attachment.input_ring for attachment in self.switch.attachments]
+        rings.extend(path.link for path in self.switch.paths)
+        for vif in vifs:
+            rings.extend((vif.to_guest, vif.to_host))
+        rings.extend(port.rx_ring for port in self.host_ports())
+        return list({id(ring): ring for ring in rings}.values())
 
 
 def new_testbed_parts(switch_name: str, seed: int) -> tuple[Simulator, Machine, RngRegistry, SoftwareSwitch, Core]:

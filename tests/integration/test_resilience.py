@@ -260,6 +260,25 @@ def test_drive_watchdog_strict_mode(monkeypatch):
         drive(tb, **_WINDOWS)
 
 
+def test_resilience_timeline_is_on_the_census(monkeypatch):
+    """The timeline is a running sampler the census sees, and the fault
+    plan still names why replay and fluid decline."""
+    from repro.core.fluid import FLUID_UNSERVED
+    from repro.core.warp import REPLAY_UNSERVED, first_unserved
+    from repro.measure import runner
+
+    monkeypatch.delenv("REPRO_WATCHDOG", raising=False)
+    census, taken = runner.run_census, []
+    monkeypatch.setattr(
+        runner, "run_census", lambda tb: taken.append(census(tb)) or taken[-1]
+    )
+    result, _, _ = measure_resilience(p2p.build, "vpp", 64, _flap(), **_WINDOWS)
+    assert taken == [("fault-plan-active", "sampler-active")]
+    assert first_unserved(taken[0], REPLAY_UNSERVED) == "fault-plan-active"
+    assert first_unserved(taken[0], FLUID_UNSERVED) == "fault-plan-active"
+    assert result.warp.reason == "fault-plan-active"
+
+
 # ---------------------------------------------------------------------------
 # Graceful SIGINT/SIGTERM
 # ---------------------------------------------------------------------------

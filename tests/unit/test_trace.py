@@ -1,13 +1,17 @@
-"""Unit tests for the telemetry subsystem."""
+"""Unit tests for the telemetry subsystem and the periodic schedule it
+shares with the invariant watchdog."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import Simulator
 from repro.core.packet import Packet
 from repro.core.ring import Ring
 from repro.core.trace import Series, Telemetry
 from repro.cpu.cores import Core
+from repro.faults.watchdog import InvariantWatchdog
+from repro.scenarios import p2p
 
 
 def test_series_statistics():
@@ -53,7 +57,11 @@ def test_stop_at(sim):
     series = telemetry.watch("x", lambda: 1.0)
     telemetry.start(stop_at_ns=250.0)
     sim.run_until(10_000)
-    assert series.times_ns[-1] <= 250.0
+    # The last sample lands exactly on the off-grid end and nothing is
+    # left queued past it.
+    assert series.times_ns == [0.0, 100.0, 200.0, 250.0]
+    assert not telemetry.running
+    assert sim.pending() == 0
 
 
 def test_watch_ring_occupancy(sim):
@@ -118,17 +126,49 @@ def test_series_percentile_validates_range():
     assert series.percentile(50) == 0.0  # empty series
 
 
-def test_stop_halts_sampling(sim):
-    telemetry = Telemetry(sim, period_ns=100.0)
+def _telemetry(period_ns):
+    """A Telemetry on a bare clock; it samples at t=0, then every period."""
+    sim = Simulator()
+    telemetry = Telemetry(sim, period_ns=period_ns)
     series = telemetry.watch("x", lambda: 1.0)
-    telemetry.start()
-    sim.run_until(500)
-    assert telemetry.running
-    telemetry.stop()
-    assert not telemetry.running
-    n = len(series.values)
-    sim.run_until(2_000)
-    assert len(series.values) == n  # the pending sample died silently
+    return sim, telemetry, lambda: len(series.values)
+
+
+def _watchdog(period_ns):
+    """An InvariantWatchdog; its first scan comes one interval after start."""
+    tb = p2p.build("vale", frame_size=64, seed=1)
+    watchdog = InvariantWatchdog(tb, interval_ns=period_ns)
+    return tb.sim, watchdog, lambda: watchdog.scans
+
+
+#: Periodic samplers and how many ticks each gives over ten periods.
+SAMPLERS = {"telemetry": (_telemetry, 11), "watchdog": (_watchdog, 10)}
+PERIOD_NS = 100_000.0
+
+
+@pytest.mark.parametrize("kind", SAMPLERS)
+def test_stop_halts_sampling(kind):
+    make, _ = SAMPLERS[kind]
+    sim, sampler, ticks = make(PERIOD_NS)
+    sampler.start()
+    sim.run_until(5 * PERIOD_NS)
+    assert sampler.running
+    sampler.stop()
+    assert not sampler.running
+    n = ticks()
+    sim.run_until(20 * PERIOD_NS)
+    assert ticks() == n  # the pending tick died silently
+
+
+@pytest.mark.parametrize("kind", SAMPLERS)
+def test_restart_within_a_period_runs_one_chain(kind):
+    make, expected = SAMPLERS[kind]
+    sim, sampler, ticks = make(PERIOD_NS)
+    sampler.start()
+    sampler.stop()
+    sampler.start()  # the first start's queued tick must not re-arm
+    sim.run_until(10 * PERIOD_NS)
+    assert ticks() == expected
 
 
 def test_restart_after_stop_appends(sim):
@@ -159,13 +199,14 @@ def test_restart_after_stop_at_expiry(sim):
     assert series.times_ns[-1] > 1_000
 
 
-def test_double_start_is_idempotent(sim):
-    telemetry = Telemetry(sim, period_ns=100.0)
-    series = telemetry.watch("x", lambda: 1.0)
-    telemetry.start()
-    telemetry.start()  # must not double the sampling rate
-    sim.run_until(1_000)
-    assert len(series.values) == 11
+@pytest.mark.parametrize("kind", SAMPLERS)
+def test_double_start_is_idempotent(kind):
+    make, expected = SAMPLERS[kind]
+    sim, sampler, ticks = make(PERIOD_NS)
+    sampler.start()
+    sampler.start()  # must not double the sampling rate
+    sim.run_until(10 * PERIOD_NS)
+    assert ticks() == expected
 
 
 def test_utilization_unknown_series_names_known(sim):
